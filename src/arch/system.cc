@@ -516,6 +516,7 @@ System::run(unsigned threads)
         prof->setThreads(threads);
         prof->setWall(wall.seconds());
         prof->setWindows(parallelWindows_, parallelWidenedWindows_);
+        prof->sampleFootprint();
     }
 }
 

@@ -1,10 +1,22 @@
 #include "sim/profiler.hh"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 
 #include "sim/stats.hh"
 
 namespace famsim {
+
+void
+Profiler::sampleFootprint()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    // Linux reports ru_maxrss in KB.
+    peakRssMb_ = static_cast<double>(usage.ru_maxrss) / 1024.0;
+    minflt_ = static_cast<std::uint64_t>(usage.ru_minflt);
+}
 
 void
 Profiler::writeJson(std::ostream& os, int indent) const
@@ -24,6 +36,9 @@ Profiler::writeJson(std::ostream& os, int indent) const
     json::writeNumber(os, wall_);
     os << ",\n" << inner << "\"coordinator_s\": ";
     json::writeNumber(os, coordinator_);
+    os << ",\n" << inner << "\"peak_rss_mb\": ";
+    json::writeNumber(os, peakRssMb_);
+    os << ",\n" << inner << "\"minflt\": " << minflt_;
     os << ",\n" << inner << "\"partitions\": [";
     for (std::size_t p = 0; p < parts_.size(); ++p) {
         const PartTimes& t = parts_[p];

@@ -6,7 +6,8 @@
  * system do"; the profiler answers "what did the *host* spend its time
  * on": per-partition drain/exec seconds per window epoch, the
  * coordinator's serial sections (arbitration merge, window bounds,
- * global ops), and the whole run's wall clock. Everything here is
+ * global ops), the whole run's wall clock, and the process footprint
+ * (peak RSS, minor faults) when the run ends. Everything here is
  * host-timing and therefore explicitly NONDETERMINISTIC — it is
  * exported as a separate "profile" block that is never part of golden
  * comparisons (see DESIGN.md "Observability layer").
@@ -90,7 +91,15 @@ class Profiler
         widened_ = widened;
     }
 
+    /**
+     * Record the process's peak RSS and minor-fault count so far
+     * (getrusage), i.e. construction, prefault and the run itself.
+     */
+    void sampleFootprint();
+
     [[nodiscard]] double wallSeconds() const { return wall_; }
+    [[nodiscard]] double peakRssMb() const { return peakRssMb_; }
+    [[nodiscard]] std::uint64_t minorFaults() const { return minflt_; }
     [[nodiscard]] std::uint64_t windows() const { return windows_; }
     [[nodiscard]] double coordinatorSeconds() const { return coordinator_; }
 
@@ -132,6 +141,8 @@ class Profiler
     unsigned threads_ = 0;
     std::uint64_t windows_ = 0;
     std::uint64_t widened_ = 0;
+    double peakRssMb_ = 0.0;
+    std::uint64_t minflt_ = 0;
 };
 
 } // namespace famsim

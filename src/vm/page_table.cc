@@ -4,6 +4,27 @@
 
 namespace famsim {
 
+namespace {
+
+/**
+ * Shared loop of both find() overloads; @p TablePtr carries the
+ * caller's constness down the path.
+ */
+template <typename TablePtr>
+TablePtr
+findFrom(TablePtr table, std::uint64_t key_page, unsigned level)
+{
+    for (unsigned l = 0; l < level; ++l) {
+        unsigned idx = HierarchicalPageTable::levelIndex(key_page, l);
+        if (!table->children || !table->children[idx])
+            return nullptr;
+        table = table->children[idx].get();
+    }
+    return table;
+}
+
+} // namespace
+
 HierarchicalPageTable::HierarchicalPageTable(AllocFn alloc)
     : alloc_(std::move(alloc))
 {
@@ -13,22 +34,52 @@ HierarchicalPageTable::HierarchicalPageTable(AllocFn alloc)
     ++tablePages_;
 }
 
+bool
+HierarchicalPageTable::Table::setLeaf(unsigned idx, std::uint64_t packed)
+{
+    auto pos = leaves.begin() + leafRank(idx);
+    if (leafAt(idx)) {
+        *pos = packed;
+        return false;
+    }
+    leaves.insert(pos, packed);
+    leafPresent[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    return true;
+}
+
+std::uint64_t
+HierarchicalPageTable::packLeaf(std::uint64_t value_page, Perms perms)
+{
+    FAMSIM_ASSERT(value_page <= kMaxValuePage,
+                  "value page ", value_page, " does not fit in 61 bits");
+    return value_page << 3 | std::uint64_t{perms.r} |
+           std::uint64_t{perms.w} << 1 | std::uint64_t{perms.x} << 2;
+}
+
+const HierarchicalPageTable::Table*
+HierarchicalPageTable::find(std::uint64_t key_page, unsigned level) const
+{
+    return findFrom<const Table*>(root_.get(), key_page, level);
+}
+
 HierarchicalPageTable::Table*
-HierarchicalPageTable::descend(std::uint64_t key_page, bool create)
+HierarchicalPageTable::find(std::uint64_t key_page, unsigned level)
+{
+    return findFrom<Table*>(root_.get(), key_page, level);
+}
+
+HierarchicalPageTable::Table*
+HierarchicalPageTable::descend(std::uint64_t key_page)
 {
     Table* table = root_.get();
     for (unsigned level = 0; level + 1 < kLevels; ++level) {
         unsigned idx = levelIndex(key_page, level);
         if (!table->children) {
-            if (!create)
-                return nullptr;
             table->children =
                 std::make_unique<std::unique_ptr<Table>[]>(kEntries);
         }
         std::unique_ptr<Table>& slot = table->children[idx];
         if (!slot) {
-            if (!create)
-                return nullptr;
             slot = std::make_unique<Table>();
             slot->base = alloc_();
             ++tablePages_;
@@ -42,27 +93,23 @@ void
 HierarchicalPageTable::map(std::uint64_t key_page, std::uint64_t value_page,
                            Perms perms)
 {
-    Table* pte_table = descend(key_page, /*create=*/true);
-    unsigned idx = levelIndex(key_page, kLevels - 1);
-    if (!pte_table->leaves)
-        pte_table->leaves = std::make_unique<Leaf[]>(kEntries);
-    bool inserted = !pte_table->leafAt(idx);
-    pte_table->leaves[idx] = Leaf{value_page, perms};
-    if (inserted) {
-        pte_table->leafPresent[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    std::uint64_t packed = packLeaf(value_page, perms);
+    Table* pte_table = descend(key_page);
+    if (pte_table->setLeaf(levelIndex(key_page, kLevels - 1), packed))
         ++mappings_;
-    }
 }
 
 bool
 HierarchicalPageTable::unmap(std::uint64_t key_page)
 {
-    Table* pte_table = descend(key_page, /*create=*/false);
+    Table* pte_table = find(key_page, kLevels - 1);
     if (!pte_table)
         return false;
     unsigned idx = levelIndex(key_page, kLevels - 1);
     if (!pte_table->leafAt(idx))
         return false;
+    pte_table->leaves.erase(pte_table->leaves.begin() +
+                            pte_table->leafRank(idx));
     pte_table->leafPresent[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     --mappings_;
     return true;
@@ -71,14 +118,13 @@ HierarchicalPageTable::unmap(std::uint64_t key_page)
 std::optional<HierarchicalPageTable::Leaf>
 HierarchicalPageTable::lookup(std::uint64_t key_page) const
 {
-    auto* self = const_cast<HierarchicalPageTable*>(this);
-    Table* pte_table = self->descend(key_page, /*create=*/false);
+    const Table* pte_table = find(key_page, kLevels - 1);
     if (!pte_table)
         return std::nullopt;
     unsigned idx = levelIndex(key_page, kLevels - 1);
     if (!pte_table->leafAt(idx))
         return std::nullopt;
-    return pte_table->leaves[idx];
+    return unpackLeaf(pte_table->leaves[pte_table->leafRank(idx)]);
 }
 
 HierarchicalPageTable::WalkResult
@@ -92,7 +138,7 @@ HierarchicalPageTable::walk(std::uint64_t key_page) const
             WalkStep{table->base + idx * kEntryBytes, level});
         if (level == kLevels - 1) {
             if (table->leafAt(idx))
-                result.leaf = table->leaves[idx];
+                result.leaf = unpackLeaf(table->leaves[table->leafRank(idx)]);
             break;
         }
         if (!table->children || !table->children[idx])
@@ -107,14 +153,31 @@ HierarchicalPageTable::entryAddr(std::uint64_t key_page,
                                  unsigned level) const
 {
     FAMSIM_ASSERT(level < kLevels, "page table level out of range");
-    const Table* table = root_.get();
-    for (unsigned l = 0; l < level; ++l) {
-        unsigned idx = levelIndex(key_page, l);
-        if (!table->children || !table->children[idx])
-            return std::nullopt;
-        table = table->children[idx].get();
-    }
+    const Table* table = find(key_page, level);
+    if (!table)
+        return std::nullopt;
     return table->base + levelIndex(key_page, level) * kEntryBytes;
+}
+
+std::size_t
+HierarchicalPageTable::hostBytes() const
+{
+    std::size_t bytes = 0;
+    std::vector<const Table*> pending{root_.get()};
+    while (!pending.empty()) {
+        const Table* table = pending.back();
+        pending.pop_back();
+        bytes += sizeof(Table) +
+                 table->leaves.capacity() * sizeof(std::uint64_t);
+        if (!table->children)
+            continue;
+        bytes += kEntries * sizeof(std::unique_ptr<Table>);
+        for (unsigned i = 0; i < kEntries; ++i) {
+            if (table->children[i])
+                pending.push_back(table->children[i].get());
+        }
+    }
+    return bytes;
 }
 
 } // namespace famsim

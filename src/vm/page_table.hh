@@ -19,10 +19,12 @@
 #define FAMSIM_VM_PAGE_TABLE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 namespace famsim {
 
@@ -173,6 +175,17 @@ class HierarchicalPageTable
     /** Number of leaf mappings currently present. */
     [[nodiscard]] std::size_t mappings() const { return mappings_; }
 
+    /**
+     * Host bytes held by the table's heap storage: every table node,
+     * every intermediate children array and every leaf vector's
+     * capacity (allocator overhead excluded). Walks the whole tree.
+     */
+    [[nodiscard]] std::size_t hostBytes() const;
+
+    /** Largest value page a leaf can hold (61 bits). */
+    static constexpr std::uint64_t kMaxValuePage =
+        (std::uint64_t{1} << 61) - 1;
+
     /** Index into the level-@p level table for @p key_page. */
     [[nodiscard]] static unsigned
     levelIndex(std::uint64_t key_page, unsigned level)
@@ -196,19 +209,22 @@ class HierarchicalPageTable
 
   private:
     /**
-     * One table page. Children/leaves are direct-indexed arrays
-     * (allocated lazily, on the first child or leaf) instead of hash
-     * maps: a walk or descend is then three predictable indexed loads
-     * with no hashing, and teardown is linear. A leaf-level table
-     * costs ~8 KB, an intermediate ~4 KB — a few MB per simulated
-     * node even for the paper's most scattered workloads.
+     * One table page. Intermediate tables hold a direct-indexed
+     * children array (allocated on the first child): a walk is three
+     * predictable indexed loads with no hashing. PTE tables hold only
+     * their *present* leaves, packed (packLeaf) into a vector kept in
+     * index order and addressed by rank through the present bitmap.
+     * The node OS scatters FAM-zone pages across a 64 GB zone, so
+     * most FAM-table PTE tables hold about one mapping: a
+     * direct-indexed 8 KB leaf array per table would cost ~51 MB per
+     * node at fig16 n16, the packed vector costs a few bytes.
      */
     struct Table {
         std::uint64_t base = 0;
         /** Children for levels 0..2 (kEntries slots once allocated). */
         std::unique_ptr<std::unique_ptr<Table>[]> children;
-        /** Leaves for level 3 (kEntries slots once allocated). */
-        std::unique_ptr<Leaf[]> leaves;
+        /** Packed present leaves for level 3, in index order. */
+        std::vector<std::uint64_t> leaves;
         /** Present bits for leaves. */
         std::array<std::uint64_t, kEntries / 64> leafPresent{};
 
@@ -217,9 +233,49 @@ class HierarchicalPageTable
         {
             return (leafPresent[idx >> 6] >> (idx & 63)) & 1;
         }
+
+        /** Number of present leaves below @p idx: its slot in leaves. */
+        [[nodiscard]] unsigned
+        leafRank(unsigned idx) const
+        {
+            unsigned rank = 0;
+            for (unsigned word = 0; word < (idx >> 6); ++word)
+                rank += std::popcount(leafPresent[word]);
+            std::uint64_t below = (std::uint64_t{1} << (idx & 63)) - 1;
+            return rank + std::popcount(leafPresent[idx >> 6] & below);
+        }
+
+        /**
+         * Install or overwrite the packed leaf at @p idx.
+         * @return true if it was newly inserted.
+         */
+        bool setLeaf(unsigned idx, std::uint64_t packed);
     };
 
-    Table* descend(std::uint64_t key_page, bool create);
+    /**
+     * Lossless leaf packing: r/w/x in bits 0..2, the value page
+     * above them (hence kMaxValuePage).
+     */
+    [[nodiscard]] static std::uint64_t packLeaf(std::uint64_t value_page,
+                                                Perms perms);
+    [[nodiscard]] static Leaf
+    unpackLeaf(std::uint64_t packed)
+    {
+        return Leaf{packed >> 3,
+                    Perms{(packed & 1) != 0, (packed & 2) != 0,
+                          (packed & 4) != 0}};
+    }
+
+    /**
+     * The level-@p level table on @p key_page's path, or nullptr if
+     * an intermediate table on the way is absent. Never allocates.
+     */
+    [[nodiscard]] const Table* find(std::uint64_t key_page,
+                                    unsigned level) const;
+    [[nodiscard]] Table* find(std::uint64_t key_page, unsigned level);
+
+    /** The PTE table covering @p key_page, allocating missing tables. */
+    Table* descend(std::uint64_t key_page);
 
     AllocFn alloc_;
     std::unique_ptr<Table> root_;
@@ -260,20 +316,16 @@ class HierarchicalPageTable::BulkMapper
         // the same 512-page range.
         std::uint64_t prefix = levelPrefix(key_page, kLevels - 2);
         if (!leafTable_ || prefix != cachedPrefix_) {
-            leafTable_ = table_.descend(key_page, /*create=*/false);
+            leafTable_ = table_.find(key_page, kLevels - 1);
             cachedPrefix_ = prefix;
         }
         unsigned idx = levelIndex(key_page, kLevels - 1);
         if (leafTable_ && leafTable_->leafAt(idx))
             return false;
-        std::uint64_t value = value_fn();
+        std::uint64_t packed = packLeaf(value_fn(), perms);
         if (!leafTable_)
-            leafTable_ = table_.descend(key_page, /*create=*/true);
-        if (!leafTable_->leaves)
-            leafTable_->leaves = std::make_unique<Leaf[]>(kEntries);
-        leafTable_->leaves[idx] = Leaf{value, perms};
-        leafTable_->leafPresent[idx >> 6] |= std::uint64_t{1}
-                                             << (idx & 63);
+            leafTable_ = table_.descend(key_page);
+        leafTable_->setLeaf(idx, packed);
         ++table_.mappings_;
         return true;
     }

@@ -188,6 +188,14 @@ TEST(TraceSink, ObservationDoesNotPerturbTheSimulation)
     observed.run(0);
     EXPECT_GT(sink.size(), 0u);
     EXPECT_EQ(observed.sim().stats().jsonString(), baseline);
+    // The profile block also carries the process footprint at run end.
+    EXPECT_GT(prof.peakRssMb(), 0.0);
+    EXPECT_GT(prof.minorFaults(), 0u);
+    std::ostringstream profile;
+    prof.writeJson(profile);
+    EXPECT_NE(profile.str().find("\"peak_rss_mb\": "), std::string::npos);
+    EXPECT_NE(profile.str().find("\"minflt\": "), std::string::npos);
+    EXPECT_TRUE(jsonIsBalanced(profile.str()));
 }
 
 TEST(TraceSink, EmptyCategoryMaskRecordsNothingEndToEnd)

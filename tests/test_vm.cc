@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "sim/rng.hh"
 #include "test_util.hh"
 #include "vm/node_os.hh"
 #include "vm/page_table.hh"
@@ -112,6 +114,175 @@ TEST_F(PageTableTest, ManyMappingsRoundTrip)
         ASSERT_TRUE(leaf.has_value());
         EXPECT_EQ(leaf->valuePage, i);
     }
+}
+
+TEST_F(PageTableTest, EveryPermsCombinationRoundTrips)
+{
+    // All 8 r/w/x combinations, write-only included (the paper's 2-bit
+    // field cannot hold it), each at the largest allowed value page.
+    for (unsigned bits = 0; bits < 8; ++bits) {
+        Perms perms{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0};
+        table_.map(bits, HierarchicalPageTable::kMaxValuePage - bits, perms);
+    }
+    for (unsigned bits = 0; bits < 8; ++bits) {
+        Perms perms{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0};
+        HierarchicalPageTable::Leaf expect{
+            HierarchicalPageTable::kMaxValuePage - bits, perms};
+        EXPECT_EQ(table_.lookup(bits), expect);
+        EXPECT_EQ(table_.walk(bits).leaf, expect);
+    }
+}
+
+TEST(PageTableDeathTest, ValuePageAbove61BitsPanics)
+{
+    std::uint64_t next = 0;
+    HierarchicalPageTable table([&next] { return next += kPageSize; });
+    EXPECT_DEATH(table.map(1, HierarchicalPageTable::kMaxValuePage + 1,
+                           Perms{}),
+                 "61 bits");
+    EXPECT_DEATH(table.map(2, ~std::uint64_t{0}, Perms{}), "61 bits");
+    HierarchicalPageTable::BulkMapper mapper(table);
+    EXPECT_DEATH(mapper.mapIfAbsent(3, Perms{},
+                                    [] { return std::uint64_t{1} << 61; }),
+                 "61 bits");
+}
+
+/**
+ * Random map / re-map / unmap / lookup / walk / entryAddr /
+ * BulkMapper::mapIfAbsent against a std::map reference, over a dense
+ * key set (one 512-page leaf range) and a scattered one (one key per
+ * leaf range). Also pins the table-page side effects: pages are
+ * allocated only by mapping a key under a new prefix, and a table's
+ * simulated base never moves.
+ */
+TEST_F(PageTableTest, RandomOpsMatchReferenceModel)
+{
+    constexpr unsigned kLeafLevel = HierarchicalPageTable::kLevels - 1;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 512; ++i)
+        keys.push_back((0x2468ull << 9) | i); // dense: one leaf range
+    Rng rng(42);
+    for (std::uint64_t i = 0; i < 512; ++i) // scattered: one per range
+        keys.push_back((rng.below64(std::uint64_t{1} << 27) << 9) |
+                       rng.below(512));
+
+    std::map<std::uint64_t, HierarchicalPageTable::Leaf> ref;
+    std::map<std::uint64_t, std::uint64_t> pteBase; // leaf prefix -> base
+    std::set<std::pair<unsigned, std::uint64_t>> tables; // (level, prefix)
+    auto noteTables = [&](std::uint64_t key) {
+        for (unsigned level = 1; level < HierarchicalPageTable::kLevels;
+             ++level) {
+            tables.emplace(level,
+                           HierarchicalPageTable::levelPrefix(key, level - 1));
+        }
+    };
+    auto randomLeaf = [&] {
+        std::uint64_t value = rng.chance(0.1)
+                                  ? HierarchicalPageTable::kMaxValuePage
+                                  : rng.below64(std::uint64_t{1} << 61);
+        unsigned bits = rng.below(8);
+        return HierarchicalPageTable::Leaf{
+            value, Perms{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0}};
+    };
+
+    HierarchicalPageTable::BulkMapper mapper(table_);
+    for (int op = 0; op < 100000; ++op) {
+        std::uint64_t key = keys[rng.below(keys.size())];
+        auto it = ref.find(key);
+        switch (rng.below(6)) {
+          case 0: { // map or re-map
+            auto leaf = randomLeaf();
+            table_.map(key, leaf.valuePage, leaf.perms);
+            ref[key] = leaf;
+            noteTables(key);
+            break;
+          }
+          case 1: // unmap
+            EXPECT_EQ(table_.unmap(key), it != ref.end());
+            if (it != ref.end())
+                ref.erase(it);
+            break;
+          case 2: { // mapIfAbsent
+            auto leaf = randomLeaf();
+            bool called = false;
+            bool installed = mapper.mapIfAbsent(key, leaf.perms, [&] {
+                called = true;
+                return leaf.valuePage;
+            });
+            EXPECT_EQ(installed, it == ref.end());
+            EXPECT_EQ(called, installed);
+            if (installed) {
+                ref[key] = leaf;
+                noteTables(key);
+            }
+            break;
+          }
+          case 3: // lookup
+            if (it == ref.end())
+                EXPECT_FALSE(table_.lookup(key).has_value());
+            else
+                EXPECT_EQ(table_.lookup(key), it->second);
+            break;
+          default: { // walk + entryAddr
+            auto result = table_.walk(key);
+            if (it == ref.end())
+                EXPECT_FALSE(result.leaf.has_value());
+            else
+                EXPECT_EQ(result.leaf, it->second);
+            for (const auto& step : result.steps)
+                EXPECT_EQ(table_.entryAddr(key, step.level), step.addr);
+            auto addr = table_.entryAddr(key, kLeafLevel);
+            std::uint64_t prefix =
+                HierarchicalPageTable::levelPrefix(key, kLeafLevel - 1);
+            ASSERT_EQ(addr.has_value(),
+                      tables.count({kLeafLevel, prefix}) == 1);
+            if (addr)
+                ASSERT_EQ(result.steps.size(), HierarchicalPageTable::kLevels);
+            else
+                ASSERT_LT(result.steps.size(), HierarchicalPageTable::kLevels);
+            if (addr) {
+                std::uint64_t base =
+                    *addr - HierarchicalPageTable::levelIndex(key, kLeafLevel) *
+                                HierarchicalPageTable::kEntryBytes;
+                EXPECT_EQ(pteBase.emplace(prefix, base).first->second, base);
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(table_.mappings(), ref.size());
+        ASSERT_EQ(table_.tablePages(), tables.size() + 1);
+    }
+    for (std::uint64_t key : keys) {
+        auto it = ref.find(key);
+        if (it == ref.end())
+            EXPECT_FALSE(table_.lookup(key).has_value());
+        else
+            EXPECT_EQ(table_.lookup(key), it->second);
+    }
+}
+
+TEST_F(PageTableTest, SparseLeafTablesStayCompact)
+{
+    // 1024 keys, one per 512-page leaf range, so 1024 PTE tables: a
+    // direct-indexed Leaf[512] array per table would cost 8 KB each
+    // (~8.5 MB in all); packed, each holds one 8-byte leaf.
+    for (std::uint64_t i = 0; i < 1024; ++i)
+        table_.map(i * HierarchicalPageTable::kEntries + (i % 512), i,
+                   Perms{});
+    EXPECT_LT(table_.hostBytes(), 256u * 1024);
+}
+
+TEST_F(PageTableTest, FullLeafTableHoldsAtMostFourKB)
+{
+    table_.map(0, 0, Perms{});
+    // Everything but the one-leaf vector: four table nodes and three
+    // children arrays, which filling the PTE table does not grow.
+    std::size_t tables = table_.hostBytes() - sizeof(std::uint64_t);
+    for (std::uint64_t i = 1; i < HierarchicalPageTable::kEntries; ++i)
+        table_.map(i, i, Perms{});
+    EXPECT_EQ(table_.tablePages(), 4u);
+    // 512 packed 8-byte leaves: half a 16-byte-per-entry Leaf[512].
+    EXPECT_LE(table_.hostBytes() - tables, 4096u);
 }
 
 TEST(Perms, TwoBitEncodingRoundTrips)
