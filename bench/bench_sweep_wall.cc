@@ -8,10 +8,9 @@
  *   fresh_serial  the pre-executor path: one fresh System per point,
  *                 points run back to back (writeScenarioJson's
  *                 self-constructing overload);
- *   jobs1_reuse   the executor at one job: same serial order, but
- *                 compatible consecutive points reset-and-reuse one
- *                 System instead of reconstructing (prefaulted page
- *                 tables and FAM layout survive);
+ *   jobs1         the executor at one job: same serial order and
+ *                 one fresh System per point, so jobs1_speedup
+ *                 isolates the executor's own overhead;
  *   pooled        the executor at --sweep-jobs workers (default
  *                 FAMSIM_SWEEP_JOBS, then 4).
  *
@@ -24,7 +23,7 @@
  *   bench_sweep_wall [--json] [--out path] [--sweep-jobs n]
  *                    [--baseline path]
  *
- * With --baseline the run compares the total row's reuse_speedup and
+ * With --baseline the run compares the total row's jobs1_speedup and
  * pooled_speedup against the same row in a previous export and exits
  * 3 if either falls below baseline * (1 - FAMSIM_BENCH_TOLERANCE)
  * (default 0.25). The baseline was recorded on a single-core host
@@ -163,10 +162,10 @@ main(int argc, char** argv)
     ScopedQuietLogs quiet;
     FigureReport report(
         "BENCH_sweep",
-        "Sweep-suite wall clock: fresh-serial vs executor (reuse, "
+        "Sweep-suite wall clock: fresh-serial vs executor (one job, "
         "pooled)",
         "sweep",
-        {"fresh_serial_s", "jobs1_reuse_s", "pooled_s", "reuse_speedup",
+        {"fresh_serial_s", "jobs1_s", "pooled_s", "jobs1_speedup",
          "pooled_speedup"});
 
     double total_fresh = 0.0, total_jobs1 = 0.0, total_pooled = 0.0;
@@ -199,7 +198,7 @@ main(int argc, char** argv)
                   {total_fresh, total_jobs1, total_pooled,
                    total_fresh / total_jobs1, total_fresh / total_pooled});
     report.addSummary("sweep_jobs", static_cast<double>(pooled_jobs));
-    report.addSummary("reuse_speedup", total_fresh / total_jobs1);
+    report.addSummary("jobs1_speedup", total_fresh / total_jobs1);
     report.addSummary("pooled_speedup", total_fresh / total_pooled);
     report.addNote("wall clock is host-dependent; CI gates the total "
                    "row's speedup ratios against bench/"
@@ -237,7 +236,7 @@ main(int argc, char** argv)
                      "skipping gate\n";
         return 0;
     }
-    const char* kRatioName[2] = {"reuse_speedup", "pooled_speedup"};
+    const char* kRatioName[2] = {"jobs1_speedup", "pooled_speedup"};
     for (int r = 0; r < 2; ++r) {
         double base_ratio = base[3 + r], cur_ratio = cur[3 + r];
         std::cerr << "gate " << kRatioName[r] << ": " << cur_ratio

@@ -39,19 +39,6 @@ using namespace famsim;
 
 namespace {
 
-/**
- * Pre-PR (seed) reference numbers, measured on the development host
- * right before the hot-path overhaul landed, with the same loops this
- * binary runs. They exist so the exported JSON documents the speedup
- * the overhaul delivered on like-for-like hardware; on other machines
- * treat the speedup_vs_seed_* summaries as indicative only (the
- * rel_cost gate is the portable check).
- */
-constexpr double kSeedLookupNs[3] = {18.0, 17.6, 33.9}; // LRU/Rand/PLRU
-constexpr double kSeedStreamGenNs = 35.6;
-constexpr double kSeedEventQueueNs = 111.4;
-constexpr double kSeedFig12Seconds = 0.46;
-
 volatile std::uint64_t g_sink = 0;
 
 double
@@ -247,7 +234,6 @@ main(int argc, char** argv)
         double ns = seconds / static_cast<double>(ops) * 1e9;
         double mops = static_cast<double>(ops) / seconds / 1e6;
         report.addRow(name, {ns, mops, ns / (calib * 1e9)});
-        return ns;
     };
 
     add("rng.next", calib * double(4 * kIters), 4 * kIters);
@@ -255,21 +241,17 @@ main(int argc, char** argv)
     const ReplPolicy kPolicies[] = {ReplPolicy::Lru, ReplPolicy::Random,
                                     ReplPolicy::TreePlru};
     const char* kPolicyTag[] = {"lru", "random", "treeplru"};
-    double lookup_ns[3];
     for (int p = 0; p < 3; ++p) {
-        lookup_ns[p] = add(
-            std::string("set_assoc_lookup.") + kPolicyTag[p],
+        add(std::string("set_assoc_lookup.") + kPolicyTag[p],
             timeLookup(kPolicies[p], kIters), kIters);
         add(std::string("set_assoc_insert.") + kPolicyTag[p],
             timeInsertChurn(kPolicies[p], kIters / 2), kIters / 2);
     }
 
-    double sg_ns = add("stream_gen.mcf", timeStreamGen("mcf", kIters),
-                       kIters);
+    add("stream_gen.mcf", timeStreamGen("mcf", kIters), kIters);
     add("stream_gen.sssp", timeStreamGen("sssp", kIters), kIters);
 
-    double eq_ns = add("event_queue.churn", timeEventQueue(kIters),
-                       kIters);
+    add("event_queue.churn", timeEventQueue(kIters), kIters);
 
     double fig12_s = timeFig12();
     // 4 architectures x 60000 instructions per scenario run.
@@ -314,16 +296,6 @@ main(int argc, char** argv)
             scaled_ops[p]);
     }
 
-    for (int p = 0; p < 3; ++p)
-        report.addSummary(
-            std::string("speedup_vs_seed_lookup_") + kPolicyTag[p],
-            kSeedLookupNs[p] / lookup_ns[p]);
-    report.addSummary("speedup_vs_seed_stream_gen",
-                      kSeedStreamGenNs / sg_ns);
-    report.addSummary("speedup_vs_seed_event_queue",
-                      kSeedEventQueueNs / eq_ns);
-    report.addSummary("speedup_vs_seed_fig12",
-                      kSeedFig12Seconds / fig12_s);
     report.addSummary("fig12_wall_seconds", fig12_s);
     report.addSummary("fig16n16_serial_wall_seconds", psim_serial_s);
     for (int i = 0; i < 3; ++i) {

@@ -178,150 +178,6 @@ System::System(SystemConfig config) : config_(std::move(config)),
     }
 }
 
-namespace {
-
-/** Field-wise equality of two workload profiles. */
-bool
-sameProfile(const StreamProfile& a, const StreamProfile& b)
-{
-    return a.name == b.name && a.suite == b.suite &&
-           a.memOpFraction == b.memOpFraction &&
-           a.footprintBytes == b.footprintBytes &&
-           a.hot1Pages == b.hot1Pages && a.hot1Prob == b.hot1Prob &&
-           a.hot2Pages == b.hot2Pages && a.hot2Prob == b.hot2Prob &&
-           a.seqRunLen == b.seqRunLen && a.seqPageProb == b.seqPageProb &&
-           a.vaScatterFactor == b.vaScatterFactor &&
-           a.reuseProb == b.reuseProb &&
-           a.writeFraction == b.writeFraction &&
-           a.blockingFraction == b.blockingFraction &&
-           a.paperMpki == b.paperMpki && a.atSensitive == b.atSensitive;
-}
-
-bool
-sameOs(const NodeOsParams& a, const NodeOsParams& b)
-{
-    return a.localBytes == b.localBytes &&
-           a.reservedLocalBytes == b.reservedLocalBytes &&
-           a.famZoneBytes == b.famZoneBytes &&
-           a.localFraction == b.localFraction &&
-           a.faultLatency == b.faultLatency &&
-           a.scatterFamZone == b.scatterFamZone;
-}
-
-bool
-sameFam(const FamMediaParams& a, const FamMediaParams& b)
-{
-    return a.capacityBytes == b.capacityBytes &&
-           a.modules == b.modules &&
-           a.interleaveBytes == b.interleaveBytes &&
-           a.nvm.banks == b.nvm.banks &&
-           a.nvm.readLatency == b.nvm.readLatency &&
-           a.nvm.writeLatency == b.nvm.writeLatency &&
-           a.nvm.frontendLatency == b.nvm.frontendLatency &&
-           a.nvm.maxOutstanding == b.nvm.maxOutstanding &&
-           a.jobs == b.jobs;
-}
-
-bool
-sameBroker(const BrokerParams& a, const BrokerParams& b)
-{
-    return a.serviceLatency == b.serviceLatency &&
-           a.exposedRttLatency == b.exposedRttLatency &&
-           a.scatterAllocation == b.scatterAllocation &&
-           a.sharedReserveBytes == b.sharedReserveBytes &&
-           a.jobs == b.jobs;
-}
-
-/** A config that never allocates or bumps stats where reuse can't. */
-bool
-reuseEligible(const SystemConfig& c)
-{
-    // jobs == 1: multi-tenant runs create shared regions and per-job
-    // tables at run time. No migrations: they mutate the broker's
-    // logical-id bindings and the ACM. No factory: external workloads
-    // (trace replay) have construction side effects a reset cannot
-    // replay. prefault + warmup: construction and prefault bump OS and
-    // broker counters that only the warmup resetAll re-zeroes — a
-    // reused System skips both, so without a warmup reset its stats
-    // would differ from a fresh build's.
-    return c.tenancy.jobs == 1 && c.migrations.empty() &&
-           !c.workloadFactory && c.prefault && c.warmupFraction > 0.0;
-}
-
-} // namespace
-
-bool
-System::reusableAcross(const SystemConfig& a, const SystemConfig& b)
-{
-    SystemConfig fa = a;
-    SystemConfig fb = b;
-    fa.finalize();
-    fb.finalize();
-    if (!reuseEligible(fa) || !reuseEligible(fb))
-        return false;
-    // The hard set: everything the preserved construction products
-    // (OS page tables + prefault, broker FAM tables and allocation
-    // cursors, media layout, ACM geometry) depend on. Every other knob
-    // lives in components reset() rebuilds from scratch.
-    return fa.arch == fb.arch && fa.nodes == fb.nodes &&
-           fa.coresPerNode == fb.coresPerNode && fa.seed == fb.seed &&
-           sameProfile(fa.profile, fb.profile) &&
-           sameOs(fa.os, fb.os) && sameFam(fa.fam, fb.fam) &&
-           sameBroker(fa.broker, fb.broker) &&
-           fa.stu.acmBits == fb.stu.acmBits &&
-           // Observability histograms register at construction; a
-           // reused System cannot grow (or shed) registry entries.
-           fa.observability == fb.observability;
-}
-
-bool
-System::canReuseFor(const SystemConfig& next) const
-{
-    return reusableAcross(config_, next);
-}
-
-void
-System::reset(SystemConfig next)
-{
-    next.finalize();
-    FAMSIM_ASSERT(reusableAcross(config_, next),
-                  "System::reset across incompatible configurations");
-
-    // Tear down the per-node hardware, keeping each node's OS. The
-    // broker's shootdown listeners capture raw pointers into the
-    // components about to die; drop them first (wireNode re-registers
-    // against the rebuilt ones).
-    broker_->clearInvalidateListeners();
-    for (auto& node : nodes_) {
-        node->cores.clear();
-        node->l3.reset();
-        node->memCtrl.reset();
-        node->translator.reset();
-        node->famPath.reset();
-        node->stu.reset();
-        node->dram.reset();
-    }
-
-    // The preserved media modules still hold end-of-run bank-busy
-    // ticks; the rewound clock starts at 0 again.
-    media_->resetTiming();
-    sim_.resetForReuse();
-
-    config_ = std::move(next);
-    fabric_ = std::make_unique<FabricLink>(sim_, "fabric",
-                                           config_.fabric);
-    for (unsigned n = 0; n < config_.nodes; ++n)
-        wireNode(n);
-    // No re-prefault: the reuse gate pins profile/OS/seed, so the
-    // preserved page tables already map exactly the footprint a fresh
-    // build would prefault (runs never fault past it — checked by the
-    // fresh-vs-reused equivalence tests).
-
-    finished_ = 0;
-    parallelWindows_ = 0;
-    parallelWidenedWindows_ = 0;
-}
-
 void
 System::buildNode(unsigned index)
 {
@@ -336,21 +192,6 @@ System::buildNode(unsigned index)
                                                   : FamMode::Indirect;
     node->os = std::make_unique<NodeOs>(sim_, prefix + ".os", config_.os,
                                         mode, nid, broker_.get());
-    nodes_.push_back(std::move(node));
-    wireNode(index);
-}
-
-void
-System::wireNode(unsigned index)
-{
-    // Also reached directly from System::reset, so the stamp cannot
-    // live in buildNode alone (WiringScope nests; re-registrations on
-    // the reset path rebind to already-stamped statistics).
-    check::WiringScope wire(static_cast<std::uint32_t>(index));
-    NodeParts* node = nodes_[index].get();
-    auto nid = static_cast<NodeId>(index);
-    std::string prefix = "node" + std::to_string(index);
-
     node->dram = std::make_unique<BankedMemory>(sim_, prefix + ".dram",
                                                 config_.dram);
 
@@ -432,6 +273,7 @@ System::wireNode(unsigned index)
         parts.core->setJobOpsTable(jobOps_);
         node->cores.push_back(std::move(parts));
     }
+    nodes_.push_back(std::move(node));
 }
 
 void

@@ -164,39 +164,6 @@ class System
     explicit System(SystemConfig config);
 
     /**
-     * Whether a System built from @p a can be reset() to run @p b
-     * (order-symmetric). Reuse preserves the expensive construction
-     * products — the prefaulted per-node OS page tables, the broker's
-     * FAM tables/allocation state and the media layout — so everything
-     * those depend on must match: architecture, topology, seed,
-     * workload profile, OS/FAM/broker geometry and the ACM width. The
-     * cheap-to-rebuild knobs (caches, TLB, STU sizing, fabric and DRAM
-     * timing, translator) may differ — which is exactly the fig13
-     * (STU entries) and fig15 (fabric latency) sweep axes.
-     *
-     * Runs with tenants, migrations, a workload factory, no prefault
-     * or no warmup are never reusable: they either allocate at run
-     * time (so the preserved state would differ from a fresh build) or
-     * bump statistics during construction that only a warmup reset
-     * makes equal again.
-     */
-    [[nodiscard]] static bool reusableAcross(const SystemConfig& a,
-                                             const SystemConfig& b);
-
-    /** reusableAcross(config(), next) — can this instance be reset? */
-    [[nodiscard]] bool canReuseFor(const SystemConfig& next) const;
-
-    /**
-     * Reconfigure this (finished) System for @p next and rewind it to
-     * the pre-run state, preserving the expensive construction
-     * products (see reusableAcross; asserted). After reset() the
-     * System behaves exactly like a freshly constructed
-     * System(next): run() produces bit-identical statistics — pinned
-     * by the reuse-equivalence tests in tests/test_executor.cc.
-     */
-    void reset(SystemConfig next);
-
-    /**
      * Run every core to its instruction limit (with warmup).
      *
      * @param threads 0 (default) runs the original serial event loop —
@@ -276,13 +243,6 @@ class System
 
   private:
     void buildNode(unsigned index);
-    /**
-     * The rebuild-cheap half of buildNode: everything in the node
-     * except its OS (page tables, zone cursors — the expensive,
-     * reuse-preserved part). buildNode = OS creation + wireNode;
-     * reset() re-runs only wireNode.
-     */
-    void wireNode(unsigned index);
     void prefaultNode(unsigned index);
     void runSerial();
     void runParallel(unsigned threads);

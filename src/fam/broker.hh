@@ -118,14 +118,6 @@ class MemoryBroker : public Component
     /** Register a cache shootdown listener (STU / FAM translator). */
     void addInvalidateListener(InvalidateFn fn);
 
-    /**
-     * Drop every registered shootdown listener. System::reset rebuilds
-     * the per-node hardware; the listeners capture raw STU/translator
-     * pointers, so they must be cleared before the old components are
-     * destroyed and re-registered by the rebuilt ones.
-     */
-    void clearInvalidateListeners() { invalidateListeners_.clear(); }
-
     /** Cost accounting of a migration. */
     struct MigrationReport {
         std::size_t pagesMoved = 0;

@@ -79,19 +79,6 @@ class FamMedia : public Component
     }
 
     /**
-     * Forget every module's bank-busy timestamps, for System reuse
-     * (the media object survives a System::reset so the broker's
-     * pointer and the established FAM layout stay valid, but its
-     * timing state belongs to the finished run).
-     */
-    void
-    resetTiming()
-    {
-        for (auto& module : modules_)
-            module->resetTiming();
-    }
-
-    /**
      * Base trace-lane id of module 0 (= node count: media lanes sit
      * after the node lanes, mirroring the psim partition layout). Set
      * once by System; module @c m emits on lane base + m.

@@ -3,15 +3,11 @@
 #include <exception>
 #include <sstream>
 
-#include "sim/logging.hh"
 #include "sim/profiler.hh"
 
 namespace famsim {
 
-SweepExecutor::SweepExecutor(unsigned jobs)
-    : pool_(jobs == 0 ? 1 : jobs), workerSystems_(pool_.threads())
-{
-}
+SweepExecutor::SweepExecutor(unsigned jobs) : pool_(jobs == 0 ? 1 : jobs) {}
 
 void
 SweepExecutor::forEach(std::size_t tasks,
@@ -26,8 +22,7 @@ SweepExecutor::forEach(std::size_t tasks,
     // and the rethrown error is deterministic in the face of
     // completion-order races.
     std::vector<std::exception_ptr> errors(tasks);
-    pool_.runEpochIndexed(tasks,
-                          [&](std::size_t /*worker*/, std::size_t task) {
+    pool_.runEpoch(tasks, [&](std::size_t task) {
         try {
             fn(task);
         } catch (...) {
@@ -40,48 +35,20 @@ SweepExecutor::forEach(std::size_t tasks,
     }
 }
 
-System&
-SweepExecutor::systemFor(std::size_t worker, const SystemConfig& config)
-{
-    std::unique_ptr<System>& slot = workerSystems_[worker];
-    if (slot && slot->canReuseFor(config)) {
-        slot->reset(config);
-        systemsReused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        slot = std::make_unique<System>(config);
-        systemsBuilt_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return *slot;
-}
-
 std::vector<std::string>
 SweepExecutor::runScenarioJsons(const std::vector<Scenario>& points,
                                 unsigned threads)
 {
     std::vector<std::string> out(points.size());
-    std::vector<std::exception_ptr> errors(points.size());
     pointSeconds_.assign(points.size(), 0.0);
-    pool_.runEpochIndexed(points.size(),
-                          [&](std::size_t worker, std::size_t task) {
-        try {
-            ScopedQuietLogs quiet;
-            Profiler::Timer timer;
-            std::ostringstream os;
-            System& system = systemFor(worker, points[task].config);
-            writeScenarioJson(os, points[task], system, threads);
-            out[task] = os.str();
-            pointSeconds_[task] = timer.seconds();
-        } catch (...) {
-            // A failure may have left the cached System mid-run;
-            // never reuse it.
-            workerSystems_[worker].reset();
-            errors[task] = std::current_exception();
-        }
+    systemsBuilt_ += points.size();
+    forEach(points.size(), [&](std::size_t task) {
+        Profiler::Timer timer;
+        std::ostringstream os;
+        writeScenarioJson(os, points[task], threads);
+        out[task] = os.str();
+        pointSeconds_[task] = timer.seconds();
     });
-    for (std::exception_ptr& error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
     return out;
 }
 
@@ -90,25 +57,13 @@ SweepExecutor::runResults(const std::vector<SystemConfig>& configs,
                           unsigned threads)
 {
     std::vector<RunResult> out(configs.size());
-    std::vector<std::exception_ptr> errors(configs.size());
     pointSeconds_.assign(configs.size(), 0.0);
-    pool_.runEpochIndexed(configs.size(),
-                          [&](std::size_t worker, std::size_t task) {
-        try {
-            Profiler::Timer timer;
-            System& system = systemFor(worker, configs[task]);
-            system.run(threads);
-            out[task] = summarize(system);
-            pointSeconds_[task] = timer.seconds();
-        } catch (...) {
-            workerSystems_[worker].reset();
-            errors[task] = std::current_exception();
-        }
+    systemsBuilt_ += configs.size();
+    forEach(configs.size(), [&](std::size_t task) {
+        Profiler::Timer timer;
+        out[task] = runOne(configs[task], threads);
+        pointSeconds_[task] = timer.seconds();
     });
-    for (std::exception_ptr& error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
     return out;
 }
 

@@ -11,24 +11,17 @@
  * — the caller's output is byte-identical for every job count,
  * bounded in wall clock by the slowest single point.
  *
- * Each worker additionally keeps one reusable System: consecutive
- * points that share the expensive construction state (topology, seed,
- * profile, OS/FAM geometry — see System::reusableAcross) are run via
- * System::reset() instead of a full reconstruction, which skips the
- * dominant page-table prefault cost. Reuse is a pure wall-clock
- * optimization: reset() is pinned to produce bit-identical statistics
- * to a fresh build (tests/test_executor.cc), so slot contents do not
- * depend on which worker ran which point.
+ * Every point builds its own System and destroys it when the point
+ * ends, so slot contents cannot depend on which worker ran which
+ * point, nor on what ran before it.
  */
 
 #ifndef FAMSIM_HARNESS_EXECUTOR_HH
 #define FAMSIM_HARNESS_EXECUTOR_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +39,7 @@ class SweepExecutor
      * @param jobs total workers including the caller (>= 1; clamped
      *        up from 0). jobs=1 spawns no threads and visits points in
      *        slot order on the calling thread — the same code path as
-     *        jobs=N minus the concurrency, and still System-reusing.
+     *        jobs=N minus the concurrency.
      */
     explicit SweepExecutor(unsigned jobs = 1);
 
@@ -69,8 +62,7 @@ class SweepExecutor
     /**
      * Render every scenario's full JSON export — byte-for-byte what
      * writeScenarioJson(os, points[i], threads) writes (no trailing
-     * newline) — in slot order, reusing each worker's System across
-     * compatible points.
+     * newline) — in slot order.
      */
     [[nodiscard]] std::vector<std::string>
     runScenarioJsons(const std::vector<Scenario>& points,
@@ -78,27 +70,27 @@ class SweepExecutor
 
     /**
      * Build, run and summarize every configuration (the bench_fig13-16
-     * fan-out), results in slot order, with the same System reuse.
+     * fan-out), results in slot order.
      */
     [[nodiscard]] std::vector<RunResult>
     runResults(const std::vector<SystemConfig>& configs,
                unsigned threads = 0);
 
-    /** Systems constructed from scratch across this executor's life. */
-    [[nodiscard]] std::uint64_t systemsBuilt() const
-    {
-        return systemsBuilt_.load(std::memory_order_relaxed);
-    }
-    /** Points served by System::reset() of a cached System. */
-    [[nodiscard]] std::uint64_t systemsReused() const
-    {
-        return systemsReused_.load(std::memory_order_relaxed);
-    }
+    /**
+     * Systems constructed across this executor's life: one per point
+     * of every runScenarioJsons/runResults call.
+     */
+    [[nodiscard]] std::uint64_t systemsBuilt() const { return systemsBuilt_; }
+    /**
+     * Always 0: every point builds a fresh System. Kept for the
+     * benchmark's harness.systems_reused counter.
+     */
+    [[nodiscard]] std::uint64_t systemsReused() const { return 0; }
 
     /**
      * Host wall-clock seconds of each point of the last
-     * runScenarioJsons/runResults call, in slot order (build/reset +
-     * run + export). Host timings: report them (stderr, profiles) but
+     * runScenarioJsons/runResults call, in slot order (build + run +
+     * export). Host timings: report them (stderr, profiles) but
      * never put them in golden-compared output.
      */
     [[nodiscard]] const std::vector<double>& pointSeconds() const
@@ -107,17 +99,8 @@ class SweepExecutor
     }
 
   private:
-    /**
-     * The cached System of @p worker, reset or rebuilt for @p config
-     * and ready to run. Only ever called from that worker's thread.
-     */
-    System& systemFor(std::size_t worker, const SystemConfig& config);
-
     WorkerPool pool_;
-    /** One reusable System slot per worker, caller = slot 0. */
-    std::vector<std::unique_ptr<System>> workerSystems_;
-    std::atomic<std::uint64_t> systemsBuilt_{0};
-    std::atomic<std::uint64_t> systemsReused_{0};
+    std::uint64_t systemsBuilt_ = 0;
     /** Per-point wall seconds of the last batch (slot-ordered; each
      *  task writes only its own slot, so no synchronization needed). */
     std::vector<double> pointSeconds_;

@@ -67,14 +67,6 @@ BankedMemory::start(const PktPtr& pkt, std::uint64_t addr)
 }
 
 void
-BankedMemory::resetTiming()
-{
-    FAMSIM_ASSERT(inFlight_ == 0 && waitQueue_.empty(),
-                  "resetTiming on a busy memory device");
-    std::fill(bankFree_.begin(), bankFree_.end(), 0);
-}
-
-void
 BankedMemory::finish(const PktPtr& pkt)
 {
     FAMSIM_ASSERT(inFlight_ > 0, "finish with no in-flight access");

@@ -60,13 +60,6 @@ class BankedMemory : public Component
     /** Number of requests currently inside the device (incl. queued). */
     [[nodiscard]] unsigned inFlight() const { return inFlight_; }
 
-    /**
-     * Forget all bank-busy timestamps, for System reuse: the device
-     * must be idle (asserted), but bankFree_ still holds end-of-run
-     * ticks that would stall a fresh run starting at tick 0.
-     */
-    void resetTiming();
-
     [[nodiscard]] const BankedMemoryParams& params() const
     {
         return params_;

@@ -9,7 +9,7 @@ WorkerPool::WorkerPool(unsigned threads)
     FAMSIM_ASSERT(threads >= 1, "worker pool needs at least one thread");
     workers_.reserve(threads - 1);
     for (unsigned i = 1; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerMain(i); });
+        workers_.emplace_back([this] { workerMain(); });
 }
 
 WorkerPool::~WorkerPool()
@@ -24,27 +24,23 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::claimTasks(std::size_t worker, std::size_t tasks)
+WorkerPool::claimTasks(std::size_t tasks)
 {
     // Claim-and-run off the shared counter until every task index has
     // been handed out. Exiting this loop means every task this worker
-    // claimed has completed. epochFn_/epochIndexedFn_ are stable for
-    // the whole epoch (published before the generation bump, read
-    // after it).
+    // claimed has completed. epochFn_ is stable for the whole epoch
+    // (published before the generation bump, read after it).
     for (;;) {
         std::size_t task =
             nextTask_.fetch_add(1, std::memory_order_relaxed);
         if (task >= tasks)
             return;
-        if (epochFn_)
-            (*epochFn_)(task);
-        else
-            (*epochIndexedFn_)(worker, task);
+        (*epochFn_)(task);
     }
 }
 
 void
-WorkerPool::workerMain(std::size_t worker)
+WorkerPool::workerMain()
 {
     std::uint64_t seen = 0;
     for (;;) {
@@ -59,22 +55,13 @@ WorkerPool::workerMain(std::size_t worker)
             seen = generation_;
             tasks = epochTasks_;
         }
-        claimTasks(worker, tasks);
+        claimTasks(tasks);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (--busyWorkers_ == 0)
                 epochDone_.notify_all();
         }
     }
-}
-
-void
-WorkerPool::finishEpoch(std::size_t tasks)
-{
-    epochStart_.notify_all();
-    claimTasks(/*worker=*/0, tasks);
-    std::unique_lock<std::mutex> lock(mutex_);
-    epochDone_.wait(lock, [&] { return busyWorkers_ == 0; });
 }
 
 void
@@ -91,7 +78,6 @@ WorkerPool::runEpoch(std::size_t tasks,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         epochFn_ = &fn;
-        epochIndexedFn_ = nullptr;
         epochTasks_ = tasks;
         nextTask_.store(0, std::memory_order_relaxed);
         // Every worker joins every epoch (a full-acknowledgment
@@ -103,34 +89,10 @@ WorkerPool::runEpoch(std::size_t tasks,
         busyWorkers_ = workers_.size();
         ++generation_;
     }
-    finishEpoch(tasks);
-}
-
-void
-WorkerPool::runEpochIndexed(
-    std::size_t tasks,
-    const std::function<void(std::size_t, std::size_t)>& fn)
-{
-    if (tasks == 0)
-        return;
-    if (workers_.empty()) {
-        // Degenerate single-thread pool: a plain in-order loop, so a
-        // jobs=1 sweep executor visits its points in slot order (which
-        // is what makes System reuse deterministic at one job).
-        for (std::size_t i = 0; i < tasks; ++i)
-            fn(0, i);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        epochFn_ = nullptr;
-        epochIndexedFn_ = &fn;
-        epochTasks_ = tasks;
-        nextTask_.store(0, std::memory_order_relaxed);
-        busyWorkers_ = workers_.size();
-        ++generation_;
-    }
-    finishEpoch(tasks);
+    epochStart_.notify_all();
+    claimTasks(tasks);
+    std::unique_lock<std::mutex> lock(mutex_);
+    epochDone_.wait(lock, [&] { return busyWorkers_ == 0; });
 }
 
 } // namespace famsim

@@ -54,23 +54,9 @@ class WorkerPool
     void runEpoch(std::size_t tasks,
                   const std::function<void(std::size_t)>& fn);
 
-    /**
-     * Like runEpoch, but fn(worker, task) additionally receives the
-     * stable index of the worker executing the task: the caller is
-     * worker 0, spawned threads are 1 .. threads() - 1. This is what
-     * lets an epoch's tasks use per-worker state (e.g. the sweep
-     * executor's reusable System slots) without any locking — a worker
-     * index is only ever driven by its one thread.
-     */
-    void
-    runEpochIndexed(std::size_t tasks,
-                    const std::function<void(std::size_t worker,
-                                             std::size_t task)>& fn);
-
   private:
-    void workerMain(std::size_t worker);
-    void claimTasks(std::size_t worker, std::size_t tasks);
-    void finishEpoch(std::size_t tasks);
+    void workerMain();
+    void claimTasks(std::size_t tasks);
 
     std::vector<std::thread> workers_;
 
@@ -80,10 +66,7 @@ class WorkerPool
     std::uint64_t generation_ = 0;
     bool shutdown_ = false;
 
-    /** Exactly one of the two is set per epoch. */
     const std::function<void(std::size_t)>* epochFn_ = nullptr;
-    const std::function<void(std::size_t, std::size_t)>* epochIndexedFn_ =
-        nullptr;
     std::size_t epochTasks_ = 0;
     std::size_t busyWorkers_ = 0;
     std::atomic<std::size_t> nextTask_{0};

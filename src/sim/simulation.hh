@@ -120,23 +120,6 @@ class Simulation
         return events_.run(limit);
     }
 
-    /**
-     * Rewind the simulation for another run on a reused System
-     * (System::reset): the drained event queue is replaced so the
-     * clock restarts at tick 0, and every registered statistic is
-     * zeroed. Registry entries are never removed, so components
-     * rebuilt under the same names rebind to their original (now
-     * zeroed) statistics.
-     */
-    void
-    resetForReuse()
-    {
-        FAMSIM_ASSERT(events_.empty(),
-                      "resetForReuse with events still pending");
-        events_ = EventQueue{};
-        stats_.resetAll();
-    }
-
   private:
     std::uint64_t seed_;
     EventQueue events_;

@@ -1,13 +1,12 @@
 /**
  * @file
- * SweepExecutor and System::reset() pins.
+ * SweepExecutor pins.
  *
  * The executor's contract is byte-identical output for every job
- * count, with System reuse as a pure wall-clock optimization. These
- * tests pin the three load-bearing claims: slots come back in
- * submission order (not completion order), fresh-vs-reset Systems
- * produce bit-identical statistics, and a throwing point surfaces on
- * the calling thread without killing its siblings.
+ * count. These tests pin the load-bearing claims: slots come back in
+ * submission order (not completion order), every point runs on its
+ * own fresh System, and a throwing point surfaces on the calling
+ * thread without killing its siblings.
  */
 
 #include <atomic>
@@ -158,92 +157,13 @@ TEST(SweepExecutor, FullBudgetSweepByteIdenticalAcrossJobCounts)
     EXPECT_EQ(runSweepJson(sweep, 0, 3), serial);
 }
 
-TEST(SystemReuse, ResetMatchesFreshConstructionBitForBit)
+TEST(SweepExecutor, BuildsOneSystemPerPoint)
 {
-    // The pin behind the whole reuse optimization: running a point on
-    // a System reset() from the previous point must leave statistics
-    // bit-identical to a fresh System(config) run. fig13 sweeps
-    // stu.entries (a rebuilt-cheap knob), so consecutive points are
-    // reuse-eligible.
-    const Sweep sweep = trimmedSweep("fig13_stu_entries", 6000, 5);
+    ScopedQuietLogs quiet;
+    const Sweep sweep = trimmedSweep("fig13_stu_entries", 4000, 5);
     const std::vector<Scenario> points = sweep.expand();
-    ScopedQuietLogs quiet;
-
-    std::vector<std::string> fresh;
-    for (const Scenario& point : points) {
-        System system(point.config);
-        system.run(0);
-        fresh.push_back(system.sim().stats().jsonString());
-    }
-
-    System reused(points[0].config);
-    reused.run(0);
-    EXPECT_EQ(reused.sim().stats().jsonString(), fresh[0]);
-    for (std::size_t i = 1; i < points.size(); ++i) {
-        ASSERT_TRUE(reused.canReuseFor(points[i].config))
-            << points[i].name;
-        reused.reset(points[i].config);
-        reused.run(0);
-        EXPECT_EQ(reused.sim().stats().jsonString(), fresh[i])
-            << points[i].name;
-    }
-}
-
-TEST(SystemReuse, ReusableAcrossDrawsTheExpectedLine)
-{
-    const SystemConfig base =
-        makeConfig(profiles::byName("mcf"), ArchKind::DeactN, 6000);
-
-    // Rebuilt-cheap knobs: reusable.
-    SystemConfig stu = base;
-    stu.stu.entries = 256;
-    EXPECT_TRUE(System::reusableAcross(base, stu));
-    SystemConfig fabric = base;
-    fabric.fabric.latency = 3000 * kNanosecond;
-    EXPECT_TRUE(System::reusableAcross(base, fabric));
-
-    // Preserved-state knobs: not reusable.
-    SystemConfig seed = base;
-    seed.seed = base.seed + 1;
-    EXPECT_FALSE(System::reusableAcross(base, seed));
-    SystemConfig nodes = base;
-    nodes.nodes = 2;
-    EXPECT_FALSE(System::reusableAcross(base, nodes));
-    SystemConfig acm = base;
-    acm.stu.acmBits = 32;
-    EXPECT_FALSE(System::reusableAcross(base, acm));
-    SystemConfig profile =
-        makeConfig(profiles::byName("pf"), ArchKind::DeactN, 6000);
-    EXPECT_FALSE(System::reusableAcross(base, profile));
-
-    // Multi-tenant and no-warmup configs never reuse (construction
-    // bumps counters that only the warmup reset re-zeroes).
-    SystemConfig tenants = base;
-    tenants.tenancy.jobs = 2;
-    EXPECT_FALSE(System::reusableAcross(base, tenants));
-    SystemConfig cold = base;
-    cold.warmupFraction = 0.0;
-    EXPECT_FALSE(System::reusableAcross(base, cold));
-}
-
-TEST(SystemReuse, ExecutorReusesAcrossCompatiblePointsOnly)
-{
-    ScopedQuietLogs quiet;
-    // fig13 (stu.entries) and fig15 (fabric latency) sweep
-    // rebuilt-cheap knobs: one build, every later point reused.
-    for (const char* name : {"fig13_stu_entries", "fig15_fabric_latency"}) {
-        const Sweep sweep = trimmedSweep(name, 4000, 5);
-        SweepExecutor executor(1);
-        (void)executor.runScenarioJsons(sweep.expand(), 0);
-        EXPECT_EQ(executor.systemsBuilt(), 1u) << name;
-        EXPECT_EQ(executor.systemsReused(), sweep.axis.points.size() - 1)
-            << name;
-    }
-    // fig14 sweeps the ACM width, which reshapes the preserved FAM/
-    // broker state: every point is a fresh build.
-    const Sweep acm = trimmedSweep("fig14_acm_size", 4000, 3);
     SweepExecutor executor(1);
-    (void)executor.runScenarioJsons(acm.expand(), 0);
-    EXPECT_EQ(executor.systemsBuilt(), acm.axis.points.size());
+    (void)executor.runScenarioJsons(points, 0);
+    EXPECT_EQ(executor.systemsBuilt(), points.size());
     EXPECT_EQ(executor.systemsReused(), 0u);
 }
