@@ -301,22 +301,29 @@ ParallelSim::run()
         executedSeen.assign(parts_.size(), 0);
 
     for (;;) {
+        // The coordinator's serial sections, each charged to its own
+        // profile bucket.
         Profiler::Timer coord;
+        auto charge = [&](Profiler::Section section) {
+            if (prof)
+                prof->addCoordinator(section, coord.lap());
+        };
         collectGlobalOps();
+        charge(Profiler::Section::Global);
         // Arbitrate all queued fabric sends first: the deliveries land
         // on their destination queues, so the window scan below sees
         // real delivery ticks instead of conservative floors.
         drainArbitrated();
+        charge(Profiler::Section::Arbitrate);
         SyncWindow::Bounds bounds = windowBounds();
         if (bounds.start == EventQueue::kForever) {
-            if (prof)
-                prof->addCoordinator(coord.seconds());
+            charge(Profiler::Section::Bounds);
             break;
         }
         auto [start, end] = window_.open(bounds.start, bounds.end);
+        charge(Profiler::Section::Bounds);
         runGlobalOpsThrough(start);
-        if (prof)
-            prof->addCoordinator(coord.seconds());
+        charge(Profiler::Section::Global);
         if (trace) {
             // One span per window on the broker lane (the
             // coordinator's home); arg = 1 when the adaptive horizon

@@ -35,7 +35,13 @@ Profiler::writeJson(std::ostream& os, int indent) const
        << inner << "\"wall_s\": ";
     json::writeNumber(os, wall_);
     os << ",\n" << inner << "\"coordinator_s\": ";
-    json::writeNumber(os, coordinator_);
+    json::writeNumber(os, coordinatorSeconds());
+    os << ",\n" << inner << "\"coordinator_arbitrate_s\": ";
+    json::writeNumber(os, coordinatorSeconds(Section::Arbitrate));
+    os << ",\n" << inner << "\"coordinator_bounds_s\": ";
+    json::writeNumber(os, coordinatorSeconds(Section::Bounds));
+    os << ",\n" << inner << "\"coordinator_global_s\": ";
+    json::writeNumber(os, coordinatorSeconds(Section::Global));
     os << ",\n" << inner << "\"peak_rss_mb\": ";
     json::writeNumber(os, peakRssMb_);
     os << ",\n" << inner << "\"minflt\": " << minflt_;

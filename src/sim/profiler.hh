@@ -22,7 +22,9 @@
 #ifndef FAMSIM_SIM_PROFILER_HH
 #define FAMSIM_SIM_PROFILER_HH
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <vector>
@@ -47,6 +49,18 @@ class Profiler
                        // lint-allow(wall-clock): host-profiling stopwatch; never feeds sim state
                        std::chrono::steady_clock::now() - start_)
                 .count();
+        }
+
+        /** Seconds since construction or the previous lap; restarts. */
+        double
+        lap()
+        {
+            // lint-allow(wall-clock): host-profiling stopwatch; never feeds sim state
+            const auto now = std::chrono::steady_clock::now();
+            const double elapsed =
+                std::chrono::duration<double>(now - start_).count();
+            start_ = now;
+            return elapsed;
         }
 
       private:
@@ -77,9 +91,18 @@ class Profiler
         parts_[partition].exec += seconds;
     }
 
-    /** Coordinator-serial time between epochs (arbitration, bounds,
-     *  global ops). */
-    void addCoordinator(double seconds) { coordinator_ += seconds; }
+    /** The coordinator's serial sections between epochs. */
+    enum class Section : std::uint8_t {
+        Arbitrate, //!< merge + run the arbitrated fabric sends
+        Bounds,    //!< the window-bounds scan and window open
+        Global,    //!< collect + run the global barrier ops
+    };
+
+    void
+    addCoordinator(Section section, double seconds)
+    {
+        coordinator_[static_cast<std::size_t>(section)] += seconds;
+    }
 
     void setWall(double seconds) { wall_ = seconds; }
     void setThreads(unsigned threads) { threads_ = threads; }
@@ -101,7 +124,18 @@ class Profiler
     [[nodiscard]] double peakRssMb() const { return peakRssMb_; }
     [[nodiscard]] std::uint64_t minorFaults() const { return minflt_; }
     [[nodiscard]] std::uint64_t windows() const { return windows_; }
-    [[nodiscard]] double coordinatorSeconds() const { return coordinator_; }
+    [[nodiscard]] double
+    coordinatorSeconds(Section section) const
+    {
+        return coordinator_[static_cast<std::size_t>(section)];
+    }
+
+    /** All coordinator-serial time (the three sections summed). */
+    [[nodiscard]] double
+    coordinatorSeconds() const
+    {
+        return coordinator_[0] + coordinator_[1] + coordinator_[2];
+    }
 
     /** Sum of all partitions' drain-epoch seconds. */
     [[nodiscard]] double
@@ -136,7 +170,8 @@ class Profiler
     };
 
     std::vector<PartTimes> parts_;
-    double coordinator_ = 0.0;
+    /** Seconds per Section. */
+    std::array<double, 3> coordinator_{};
     double wall_ = 0.0;
     unsigned threads_ = 0;
     std::uint64_t windows_ = 0;

@@ -13,12 +13,18 @@
  * FAMSIM_THREADS (when set and >= 2) selects the "many threads" side
  * of the determinism comparisons, so CI can re-run the suite at
  * different widths.
+ *
+ * The threads = 1 export of every scenario in that matrix is also
+ * pinned by digest (tests/golden/psim_t1/<name>.fnv, FNV-1a 64), so a
+ * kernel change that shifts every thread count alike still fails.
+ * Regenerate the pins with FAMSIM_UPDATE_GOLDEN=1.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -30,6 +36,11 @@
 #include "psim/parallel_sim.hh"
 #include "psim/worker_pool.hh"
 #include "sim/logging.hh"
+#include "test_util.hh"
+
+#ifndef FAMSIM_GOLDEN_DIR
+#define FAMSIM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace famsim {
 namespace {
@@ -49,9 +60,39 @@ wideThreads()
 // ------------------------------------------------- scenario property
 
 /**
+ * Compare @p json's digest against the scenario's pin file, or rewrite
+ * the pin under FAMSIM_UPDATE_GOLDEN=1. One file per scenario, so a
+ * regenerating `ctest -j` never races on a shared file.
+ */
+void
+expectPinnedDigest(const std::string& name, const std::string& json)
+{
+    const std::string path =
+        std::string(FAMSIM_GOLDEN_DIR) + "/psim_t1/" + name + ".fnv";
+    const std::string digest = test::fnv1aHex(json) + "\n";
+    if (test::goldenUpdateRequested()) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write pin " << path;
+        out << digest;
+        return;
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::string pinned;
+    std::getline(in, pinned);
+    ASSERT_FALSE(pinned.empty())
+        << "missing pin " << path
+        << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(pinned + "\n", digest)
+        << "the threads=1 export of '" << name
+        << "' diverged from its pin; if intentional, regenerate with "
+           "FAMSIM_UPDATE_GOLDEN=1 and commit the diff";
+}
+
+/**
  * Every registered scenario (headline + golden sweep points, incl. the
  * 16-node fig16 scaling point) must export byte-identical JSON under
- * --threads 1 and --threads N.
+ * --threads 1 and --threads N, and the --threads 1 export must match
+ * its pinned digest.
  */
 class ParallelDeterminism : public testing::TestWithParam<std::string>
 {
@@ -65,6 +106,7 @@ TEST_P(ParallelDeterminism, ThreadCountIsUnobservable)
             ? ScenarioRegistry::paper().byName(name)
             : SweepRegistry::paperPoints().byName(name);
     const std::string one = runScenarioJson(scenario, 1);
+    expectPinnedDigest(name, one);
     const std::string many = runScenarioJson(scenario, wideThreads());
     EXPECT_EQ(one, many)
         << "scenario '" << name << "' diverged between 1 and "

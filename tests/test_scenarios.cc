@@ -24,6 +24,7 @@
 #include "harness/scenario.hh"
 #include "harness/sweep.hh"
 #include "sim/logging.hh"
+#include "test_util.hh"
 
 #ifndef FAMSIM_GOLDEN_DIR
 #define FAMSIM_GOLDEN_DIR "tests/golden"
@@ -49,13 +50,6 @@ readFile(const std::string& path)
     return buf.str();
 }
 
-bool
-updateRequested()
-{
-    const char* env = std::getenv("FAMSIM_UPDATE_GOLDEN");
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
 /** Headline scenarios and sweep points share one golden machinery. */
 const Scenario&
 findScenario(const std::string& name)
@@ -75,7 +69,7 @@ TEST_P(ScenarioGolden, MatchesGoldenJson)
     const std::string actual = runScenarioJson(scenario);
     const std::string path = goldenPath(scenario.name);
 
-    if (updateRequested()) {
+    if (test::goldenUpdateRequested()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write golden " << path;
         out << actual;
@@ -125,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, ScenarioGolden,
  */
 TEST(PooledGoldenRunner, WholeSuiteMatchesGoldensViaExecutor)
 {
-    if (updateRequested())
+    if (test::goldenUpdateRequested())
         GTEST_SKIP() << "goldens are regenerated by the serial cases";
 
     std::vector<std::string> names = ScenarioRegistry::paper().names();
@@ -355,7 +349,7 @@ checkCurveGate(const std::string& sweep_name,
     }
 
     const std::string path = goldenPath(sweep_name + ".curve");
-    if (updateRequested()) {
+    if (test::goldenUpdateRequested()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write baseline " << path;
         out << "{\n  \"sweep\": \"" << sweep_name << "\",\n"

@@ -198,6 +198,44 @@ TEST(TraceSink, ObservationDoesNotPerturbTheSimulation)
     EXPECT_TRUE(jsonIsBalanced(profile.str()));
 }
 
+/**
+ * The coordinator's serial time splits into arbitration, window
+ * bounds and global ops: the profile block reports each, they sum to
+ * coordinator_s, and profiling a parallel run leaves its stats alone.
+ */
+TEST(Profiler, CoordinatorSplitSumsToTheTotal)
+{
+    const Scenario& scenario = baseScenario();
+    ScopedQuietLogs quiet;
+    System plain(scenario.config);
+    plain.run(2);
+
+    System profiled(scenario.config);
+    Profiler prof;
+    profiled.attachProfiler(&prof);
+    profiled.run(2);
+    EXPECT_EQ(profiled.sim().stats().jsonString(),
+              plain.sim().stats().jsonString());
+
+    EXPECT_GT(prof.windows(), 0u);
+    const double arbitrate =
+        prof.coordinatorSeconds(Profiler::Section::Arbitrate);
+    const double bounds = prof.coordinatorSeconds(Profiler::Section::Bounds);
+    const double global = prof.coordinatorSeconds(Profiler::Section::Global);
+    EXPECT_GT(arbitrate, 0.0);
+    EXPECT_GT(bounds, 0.0);
+    EXPECT_GE(global, 0.0);
+    EXPECT_DOUBLE_EQ(prof.coordinatorSeconds(), arbitrate + bounds + global);
+    std::ostringstream profile;
+    prof.writeJson(profile);
+    for (const char* key :
+         {"\"coordinator_s\": ", "\"coordinator_arbitrate_s\": ",
+          "\"coordinator_bounds_s\": ", "\"coordinator_global_s\": "}) {
+        EXPECT_NE(profile.str().find(key), std::string::npos) << key;
+    }
+    EXPECT_TRUE(jsonIsBalanced(profile.str()));
+}
+
 TEST(TraceSink, EmptyCategoryMaskRecordsNothingEndToEnd)
 {
     // Every emit site must gate on wants(): a sink that wants no

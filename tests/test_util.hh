@@ -1,13 +1,16 @@
 /**
  * @file
- * Shared test utilities: a fixed-latency memory stub and packet
- * helpers used across the unit tests.
+ * Shared test utilities: a fixed-latency memory stub, packet helpers
+ * and the golden-file plumbing used across the unit tests.
  */
 
 #ifndef FAMSIM_TESTS_TEST_UTIL_HH
 #define FAMSIM_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "mem/mem_sink.hh"
@@ -56,6 +59,35 @@ inline void
 drain(Simulation& sim)
 {
     sim.run();
+}
+
+/**
+ * True when FAMSIM_UPDATE_GOLDEN is set (and not "0"): golden tests
+ * then rewrite their committed files instead of comparing.
+ */
+inline bool
+goldenUpdateRequested()
+{
+    const char* env = std::getenv("FAMSIM_UPDATE_GOLDEN");
+    return env != nullptr && *env != '\0' && std::string(env) != "0";
+}
+
+/**
+ * FNV-1a 64 of @p text as 16 lowercase hex digits — the scheme of
+ * perfbench/digests.txt.
+ */
+inline std::string
+fnv1aHex(const std::string& text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return hex;
 }
 
 } // namespace famsim::test
