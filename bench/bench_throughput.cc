@@ -150,13 +150,11 @@ timeFig12()
  * parallel kernel's acceptance anchors) under one execution kernel.
  * threads = 0 is the serial reference; >= 1 the conservative-window
  * kernel. Parallel runs also report the window (= barrier round)
- * count and how many of those windows the adaptive horizon widened —
- * the cadence data behind the 64-node barrier question.
+ * count — the cadence data behind the 64-node barrier question.
  */
 struct Fig16Run {
     double seconds = 0.0;
     std::uint64_t windows = 0;
-    std::uint64_t widened = 0;
 };
 
 Fig16Run
@@ -174,7 +172,6 @@ timeFig16(const std::string& point, unsigned threads, int reps,
         system.run(threads);
         g_sink = g_sink + system.sim().stats().jsonString().size();
         run.windows = system.parallelWindows();
-        run.widened = system.parallelWidenedWindows();
     });
     return run;
 }
@@ -305,8 +302,6 @@ main(int argc, char** argv)
     }
     report.addSummary("windows_fig16n16_t4",
                       static_cast<double>(psim_t[2].windows));
-    report.addSummary("windows_widened_fig16n16_t4",
-                      static_cast<double>(psim_t[2].widened));
     report.addSummary("profile_fig16n16_t4_wall_s",
                       prof16.wallSeconds());
     report.addSummary("profile_fig16n16_t4_exec_s",
@@ -321,9 +316,6 @@ main(int argc, char** argv)
                           scaled[p][0].seconds / scaled[p][1].seconds);
         report.addSummary(std::string("windows_") + kScaledTag[p] + "_t4",
                           static_cast<double>(scaled[p][1].windows));
-        report.addSummary(std::string("windows_widened_") +
-                              kScaledTag[p] + "_t4",
-                          static_cast<double>(scaled[p][1].widened));
     }
     report.addMeta("seed_reference",
                    "pre-overhaul numbers measured on the dev host; see "

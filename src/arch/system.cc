@@ -348,7 +348,6 @@ System::run(unsigned threads)
     // Cadence telemetry belongs to one run; a serial run (including
     // the zero-lookahead fallback below) reports zero windows.
     parallelWindows_ = 0;
-    parallelWidenedWindows_ = 0;
     Profiler::Timer wall;
     if (threads > 0)
         runParallel(threads);
@@ -357,7 +356,7 @@ System::run(unsigned threads)
     if (Profiler* prof = sim_.profiler()) {
         prof->setThreads(threads);
         prof->setWall(wall.seconds());
-        prof->setWindows(parallelWindows_, parallelWidenedWindows_);
+        prof->setWindows(parallelWindows_);
         prof->sampleFootprint();
     }
 }
@@ -498,7 +497,6 @@ System::runParallel(unsigned threads)
 
     psim.run(); // drains every queue, mailbox and barrier op
     parallelWindows_ = psim.epoch();
-    parallelWidenedWindows_ = psim.widenedEpochs();
 
     unsigned done = finished.load(std::memory_order_relaxed);
     if (done < total)

@@ -172,11 +172,11 @@ class System
      *        partition per node, one per FAM media module, and one for
      *        the broker, synchronized through a per-edge lookahead
      *        matrix (node<->media edges at the fabric latency, broker
-     *        edges at the fault service latency) with adaptive window
-     *        widening. Results are byte-identical across thread counts
-     *        >= 1 (the kernel's schedule is deterministic) but
-     *        intentionally not identical to the serial schedule — see
-     *        DESIGN.md "Parallel kernel".
+     *        edges at the fault service latency), in windows as wide
+     *        as the smallest edge. Results are byte-identical across
+     *        thread counts >= 1 (the kernel's schedule is
+     *        deterministic) but intentionally not identical to the
+     *        serial schedule — see DESIGN.md "Parallel kernel".
      */
     void run(unsigned threads = 0);
 
@@ -207,11 +207,11 @@ class System
     {
         return parallelWindows_;
     }
-    /** Of those, windows the adaptive horizon opened wider than the
-     *  base lookahead. */
+    /** Always 0: windows have a fixed width. Kept only for the
+     *  benchmark's `psim.windows_widened` probe, which reads it. */
     [[nodiscard]] std::uint64_t parallelWidenedWindows() const
     {
-        return parallelWidenedWindows_;
+        return 0;
     }
 
     /**
@@ -269,7 +269,6 @@ class System
 
     unsigned finished_ = 0;
     std::uint64_t parallelWindows_ = 0;
-    std::uint64_t parallelWidenedWindows_ = 0;
 };
 
 } // namespace famsim

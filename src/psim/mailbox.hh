@@ -7,7 +7,9 @@
  * currently draining the src partition appends) and is consumed only
  * at window barriers, after every producer has quiesced — the barrier
  * itself provides the happens-before edge, so a lane needs no locks
- * and no atomics at all.
+ * and no atomics at all. A lane keeps no minimum: the earliest
+ * undrained delivery tick is tracked once per *source* partition
+ * (NodeQueue::notePost), where the posts are made.
  *
  * Determinism: messages in one lane sit in source execution order, so
  * the vector index doubles as the per-source sequence number. The
@@ -57,22 +59,12 @@ template <typename Msg>
 class Mailbox
 {
   public:
-    /** "Lane is empty" sentinel for minKey(). */
-    static constexpr Tick kNever = kTickForever;
-
-    /**
-     * Append @p msg with its pending-tick key (the delivery tick;
-     * producer side, src partition's worker only). The key feeds the
-     * cached lane minimum so the coordinator's next-window scan reads
-     * one Tick per lane instead of walking every queued message.
-     */
+    /** Append @p msg (producer side, src partition's worker only). */
     void
-    push(Msg msg, Tick key)
+    push(Msg msg)
     {
         FAMSIM_CHECK_MAILBOX(checkProducer_);
         msgs_.push_back(std::move(msg));
-        if (key < minKey_)
-            minKey_ = key;
     }
 
     /**
@@ -90,30 +82,14 @@ class Mailbox
 #endif
     }
 
-    [[nodiscard]] bool empty() const { return msgs_.empty(); }
-    [[nodiscard]] std::size_t size() const { return msgs_.size(); }
-
-    /** Smallest key queued, kNever when empty. */
-    [[nodiscard]] Tick minKey() const { return minKey_; }
-
     /** Pending messages, in send order (consumer side, at a barrier). */
     [[nodiscard]] std::vector<Msg>& messages() { return msgs_; }
-    [[nodiscard]] const std::vector<Msg>& messages() const
-    {
-        return msgs_;
-    }
 
     /** Drop all messages, keeping capacity (consumer, at a barrier). */
-    void
-    clear()
-    {
-        msgs_.clear();
-        minKey_ = kNever;
-    }
+    void clear() { msgs_.clear(); }
 
   private:
     std::vector<Msg> msgs_;
-    Tick minKey_ = kNever;
 #if FAMSIM_CHECK
     /** The lane's single legal producer; kUnowned = unchecked. */
     std::uint32_t checkProducer_ = check::kUnowned;

@@ -14,6 +14,10 @@
  * events are inserted in deterministic execution order, so the queue's
  * (tick, insertion-sequence) tie-break yields one schedule for every
  * worker count.
+ *
+ * It also keeps the earliest delivery tick of the posts its partition
+ * *sent* that are not yet drained, so the next window's anchor costs
+ * O(1) per partition (DESIGN.md "Fixed-width windows").
  */
 
 #ifndef FAMSIM_PSIM_NODE_QUEUE_HH
@@ -61,29 +65,36 @@ class NodeQueue
     }
 
     /**
-     * Earliest pending tick across the local queue and the inboxes
-     * (lane key: deliverTick). Only meaningful at a barrier. Reads
-     * each lane's cached minimum — one Tick per lane, not a message
-     * walk, which matters on the coordinator's serial section at
-     * 64-node partition counts.
+     * Record a post this partition sent, delivering at @p when
+     * (ParallelSim::post: the owning partition, or the Barrier phase).
+     */
+    void
+    notePost(Tick when)
+    {
+        FAMSIM_CHECK_MAILBOX(id_);
+        sentMin_ = std::min(sentMin_, when);
+    }
+
+    /**
+     * Forget the sent posts: every lane is drained this epoch (the
+     * owning worker, at the top of its drain task).
+     */
+    void
+    resetSentMin()
+    {
+        FAMSIM_CHECK_SENT_MIN_RESET(id_);
+        sentMin_ = EventQueue::kForever;
+    }
+
+    /**
+     * Earliest tick this partition holds work for: its queue head, or
+     * the delivery of an undrained post it sent. Only meaningful at a
+     * barrier; the minimum over all partitions anchors the next window.
      */
     [[nodiscard]] Tick
     minPendingTick() const
     {
-        Tick min = queue_.nextTick();
-        for (const auto& lane : postIn_)
-            min = std::min(min, lane.minKey());
-        return min;
-    }
-
-    [[nodiscard]] bool
-    inboxesEmpty() const
-    {
-        for (const auto& lane : postIn_) {
-            if (!lane.empty())
-                return false;
-        }
-        return true;
+        return std::min(queue_.nextTick(), sentMin_);
     }
 
     /**
@@ -138,6 +149,8 @@ class NodeQueue
     EventQueue queue_;
     /** Inbound lanes indexed by source partition. */
     std::vector<Mailbox<PostMsg>> postIn_;
+    /** Earliest delivery tick of this partition's undrained posts. */
+    Tick sentMin_ = EventQueue::kForever;
     /** Merge scratch, reused across barriers. */
     std::vector<std::pair<MergeKey, std::uint32_t>> scratch_;
 };

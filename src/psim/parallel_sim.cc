@@ -6,19 +6,6 @@
 #include "sim/trace_sink.hh"
 
 namespace famsim {
-namespace {
-
-/** Smallest finite entry of a lookahead matrix row. */
-Tick
-rowMin(const std::array<Tick, 3>& row)
-{
-    Tick min = ParallelSim::kNever;
-    for (Tick la : row)
-        min = std::min(min, la);
-    return min;
-}
-
-} // namespace
 
 ParallelSim::ParallelSim(Simulation& sim, const Topology& topo,
                          unsigned threads)
@@ -74,10 +61,6 @@ ParallelSim::init(std::uint32_t partitions)
     parts_.reserve(partitions);
     for (std::uint32_t p = 0; p < partitions; ++p)
         parts_.push_back(std::make_unique<NodeQueue>(p, partitions));
-    outBound_.reserve(partitions);
-    for (std::uint32_t p = 0; p < partitions; ++p)
-        outBound_.push_back(
-            rowMin(edge_[static_cast<std::size_t>(kindOf(p))]));
     arbIn_.resize(partitions);
     globalIn_.resize(partitions + 1);
     globalSeq_.assign(partitions + 1, 0);
@@ -109,7 +92,8 @@ ParallelSim::post(std::uint32_t dst, Tick when, PostFn fn)
     FAMSIM_ASSERT(when >= SyncWindow::satAdd(parts_[src]->queue().curTick(),
                                              la),
                   "cross-partition post violates the edge lookahead");
-    parts_[dst]->postInbox(src).push(PostMsg{when, std::move(fn)}, when);
+    parts_[src]->notePost(when);
+    parts_[dst]->postInbox(src).push(PostMsg{when, std::move(fn)});
 }
 
 void
@@ -135,7 +119,7 @@ ParallelSim::drainArbitrated()
     // lanes after the snapshot below — loop until the lanes stay
     // empty, so nothing queued is ever dropped. drainArbitrated()
     // always runs to empty lanes, which is what lets the window scan
-    // read real delivery ticks off the queues instead of lane keys.
+    // read real delivery ticks off the queues.
     for (;;) {
         arbScratch_.clear();
         arbGathered_.assign(arbIn_.size(), 0);
@@ -230,55 +214,35 @@ ParallelSim::runGlobalOpsThrough(Tick start)
                              static_cast<std::ptrdiff_t>(taken));
 }
 
-SyncWindow::Bounds
-ParallelSim::windowBounds() const
+Tick
+ParallelSim::nextPending() const
 {
-    // One pass over the partitions computes both the window anchor
-    // (the global minimum pending tick) and the adaptive end (the
-    // earliest cross-partition commitment: a partition's earliest
-    // pending event plus its smallest outgoing edge; partitions that
-    // never send place no bound at all, their events drain in
-    // whatever window covers them). The per-partition scans read the
-    // queues and the cached post-lane minimums — the arbitration
-    // lanes are always empty here, drainArbitrated() runs to empty
-    // right before.
+    // The arbitration lanes are always empty here (drainArbitrated()
+    // runs to empty right before), and each partition's minimum
+    // already covers the undrained posts it sent, so one O(1) read per
+    // partition sees every pending tick.
     Tick next = EventQueue::kForever;
-    Tick horizon = SyncWindow::kTickMax;
-    for (std::uint32_t p = 0; p < parts_.size(); ++p) {
-        Tick mp = parts_[p]->minPendingTick();
-        if (mp == EventQueue::kForever)
-            continue;
-        next = std::min(next, mp);
-        horizon = std::min(horizon, SyncWindow::satAdd(mp, outBound_[p]));
-    }
+    for (const auto& part : parts_)
+        next = std::min(next, part->minPendingTick());
     // pendingGlobal_ is sorted by (due, src, seq), so its minimum is
     // the first element.
     if (!pendingGlobal_.empty())
         next = std::min(next, pendingGlobal_.front().due);
-    if (next == EventQueue::kForever)
-        return SyncWindow::Bounds{next, SyncWindow::kTickMax};
-    // Global ops (sorted by due, so ops due <= next form a prefix —
-    // and, fault dues being conservative, every such due is `next`
-    // itself or a stale must-not-schedule warmup mark): a prefix op
-    // runs at this barrier and may schedule events from `next` onward
-    // on any partition, committing no earlier than next + the
-    // smallest edge anywhere. The first op due *after* the start caps
-    // the window so it runs exactly at its own barrier, never
-    // mid-window — readers of the state it mutates stay causally
-    // ordered.
-    if (!pendingGlobal_.empty() && pendingGlobal_.front().due <= next) {
-        horizon = std::min(horizon,
-                           SyncWindow::satAdd(next, window_.lookahead()));
-    }
+    return next;
+}
+
+Tick
+ParallelSim::firstDueAfter(Tick start) const
+{
+    // Ops due at or before the start run at this barrier; the first
+    // one due later caps the window so it runs exactly at its own
+    // barrier, never mid-window, and readers of the state it mutates
+    // stay causally ordered.
     for (const GlobalOp& op : pendingGlobal_) {
-        if (op.due > next) {
-            horizon = std::min(horizon, op.due);
-            break;
-        }
+        if (op.due > start)
+            return op.due;
     }
-    FAMSIM_ASSERT(horizon > next, "no commit horizon past the window "
-                                  "start");
-    return SyncWindow::Bounds{next, horizon};
+    return SyncWindow::kTickMax;
 }
 
 std::uint64_t
@@ -315,23 +279,20 @@ ParallelSim::run()
         // real delivery ticks instead of conservative floors.
         drainArbitrated();
         charge(Profiler::Section::Arbitrate);
-        SyncWindow::Bounds bounds = windowBounds();
-        if (bounds.start == EventQueue::kForever) {
+        const Tick next = nextPending();
+        if (next == EventQueue::kForever) {
             charge(Profiler::Section::Bounds);
             break;
         }
-        auto [start, end] = window_.open(bounds.start, bounds.end);
+        auto [start, end] = window_.open(next, firstDueAfter(next));
         charge(Profiler::Section::Bounds);
         runGlobalOpsThrough(start);
         charge(Profiler::Section::Global);
         if (trace) {
             // One span per window on the broker lane (the
-            // coordinator's home); arg = 1 when the adaptive horizon
-            // widened past the base lookahead.
-            const bool widened =
-                end > SyncWindow::satAdd(start, window_.lookahead());
+            // coordinator's home).
             trace->span(TraceSink::kPsim, brokerPartition(),
-                        "psim.window", start, end, widened ? 1 : 0);
+                        "psim.window", start, end);
         }
         // Two phases per window, each a full barrier. Drains must not
         // overlap execution: a partition already running the new
@@ -342,6 +303,9 @@ ParallelSim::run()
         pool_.runEpoch(parts_.size(), [&](std::size_t p) {
             const auto part = static_cast<std::uint32_t>(p);
             Scope scope(*this, part, check::Phase::Drain);
+            // Every lane, this partition's outbound posts included,
+            // drains in this epoch.
+            parts_[p]->resetSentMin();
             std::uint64_t drained;
             if (prof) {
                 Profiler::Timer t;

@@ -27,15 +27,13 @@
  * and therefore every statistic — is byte-identical for any worker
  * count.
  *
- * Windows are adaptive: the coordinator opens each window at the
- * global minimum pending tick and extends it to the earliest possible
- * cross-partition *commitment* — min over partitions p of (earliest
- * pending tick of p + p's smallest outgoing edge lookahead), clamped
- * by pending global-op due ticks. A partition with pending work
- * bounded only by a large outgoing lookahead (or none at all, if it
- * never sends) no longer forces fabric-latency-sized steps on
- * everyone else. See DESIGN.md "Parallel kernel" for the safety
- * argument.
+ * Windows have a fixed width, the smallest edge lookahead: the
+ * coordinator opens each window at the global minimum pending tick
+ * and ends it one lookahead later, or at the first pending global-op
+ * due after the start, whichever comes first. Each source partition
+ * keeps the earliest delivery tick of its undrained posts, so finding
+ * that minimum costs O(1) per partition. See DESIGN.md "Parallel
+ * kernel" for the safety argument.
  *
  * Operations that must mutate state read concurrently by several
  * partitions (broker fault resolution: the FAM pool allocator, the
@@ -175,14 +173,9 @@ class ParallelSim
                     [static_cast<std::size_t>(kindOf(dst))];
     }
 
-    /** The smallest finite edge lookahead (the base window width). */
+    /** The smallest finite edge lookahead (the window width). */
     [[nodiscard]] Tick lookahead() const { return window_.lookahead(); }
     [[nodiscard]] std::uint64_t epoch() const { return window_.epoch(); }
-    /** Windows that opened wider than the base lookahead. */
-    [[nodiscard]] std::uint64_t widenedEpochs() const
-    {
-        return window_.widened();
-    }
     [[nodiscard]] unsigned threads() const { return pool_.threads(); }
 
     [[nodiscard]] EventQueue& queueOf(std::uint32_t partition)
@@ -315,13 +308,13 @@ class ParallelSim
      *  from the virtual lane `partitions()`). */
     [[nodiscard]] std::uint32_t sourceLane() const;
 
-    /**
-     * One barrier-time pass over the pending state: the window anchor
-     * (global minimum pending tick; kForever start means fully
-     * drained) and the adaptive end (earliest possible cross-partition
-     * commitment, clamped by pending global-op dues).
-     */
-    [[nodiscard]] SyncWindow::Bounds windowBounds() const;
+    /** Global minimum pending tick across queues, undrained posts and
+     *  global ops (kForever once everything has drained). O(P). */
+    [[nodiscard]] Tick nextPending() const;
+
+    /** First pending global-op due after @p start, kTickMax if none:
+     *  the cap on the window opened at @p start. */
+    [[nodiscard]] Tick firstDueAfter(Tick start) const;
 
     /** Merge + run all queued arbitrated sends, to empty lanes,
      *  looping over rounds if a callback posts more (coordinator
@@ -340,8 +333,6 @@ class ParallelSim
     std::uint32_t media_ = 0; //!< media partition count
     /** Per-edge lookahead floors, indexed by (src Kind, dst Kind). */
     std::array<std::array<Tick, 3>, 3> edge_{};
-    /** Per-partition minimum outgoing edge lookahead. */
-    std::vector<Tick> outBound_;
 
     std::vector<std::unique_ptr<NodeQueue>> parts_;
 

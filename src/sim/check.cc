@@ -77,6 +77,16 @@ failPacketPool()
                  "payloads but must never run or destroy them");
 }
 
+void
+failSentMinReset(std::uint32_t owner)
+{
+    const Context& c = ctx();
+    FAMSIM_PANIC("sent-post minimum of ", partitionName(owner),
+                 " reset by ", partitionName(c.partition), " during the ",
+                 toString(c.phase),
+                 " phase; only the owner's own drain task may reset it");
+}
+
 #endif // FAMSIM_CHECK
 
 } // namespace check

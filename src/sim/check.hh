@@ -136,6 +136,7 @@ struct Tag {
 [[noreturn]] void failQueue(std::uint32_t owner);
 [[noreturn]] void failMailbox(std::uint32_t producer);
 [[noreturn]] void failPacketPool();
+[[noreturn]] void failSentMinReset(std::uint32_t owner);
 
 /** True when the current phase enforces partition exclusivity. */
 [[nodiscard]] inline bool
@@ -175,6 +176,21 @@ mailboxPush(std::uint32_t producer)
     const Context& c = ctx();
     if (enforced(c.phase) && c.partition != producer)
         failMailbox(producer);
+}
+
+/**
+ * Hook: reset of the NodeQueue sent-post minimum owned by @p owner
+ * (lowering it follows the mailbox rule). Legal only in the owner's
+ * own Drain phase, when every lane drains: anywhere else it would drop
+ * undrained posts from the next window's anchor.
+ */
+inline void
+sentMinReset(std::uint32_t owner)
+{
+    const Context& c = ctx();
+    if (c.phase != Phase::None &&
+        (c.phase != Phase::Drain || c.partition != owner))
+        failSentMinReset(owner);
 }
 
 /**
@@ -221,11 +237,14 @@ class WiringScope
 #define FAMSIM_CHECK_MAILBOX(producer) \
     ::famsim::check::mailboxPush(producer)
 #define FAMSIM_CHECK_PACKET_POOL() ::famsim::check::packetPoolOp()
+#define FAMSIM_CHECK_SENT_MIN_RESET(owner) \
+    ::famsim::check::sentMinReset(owner)
 #else
 #define FAMSIM_CHECK_STAT(tag, what) ((void)0)
 #define FAMSIM_CHECK_QUEUE(owner) ((void)0)
 #define FAMSIM_CHECK_MAILBOX(producer) ((void)0)
 #define FAMSIM_CHECK_PACKET_POOL() ((void)0)
+#define FAMSIM_CHECK_SENT_MIN_RESET(owner) ((void)0)
 #endif
 
 #endif // FAMSIM_SIM_CHECK_HH

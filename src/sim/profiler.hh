@@ -55,11 +55,9 @@ class Profiler
         double
         lap()
         {
+            const double elapsed = seconds();
             // lint-allow(wall-clock): host-profiling stopwatch; never feeds sim state
-            const auto now = std::chrono::steady_clock::now();
-            const double elapsed =
-                std::chrono::duration<double>(now - start_).count();
-            start_ = now;
+            start_ = std::chrono::steady_clock::now();
             return elapsed;
         }
 
@@ -107,12 +105,7 @@ class Profiler
     void setWall(double seconds) { wall_ = seconds; }
     void setThreads(unsigned threads) { threads_ = threads; }
 
-    void
-    setWindows(std::uint64_t windows, std::uint64_t widened)
-    {
-        windows_ = windows;
-        widened_ = widened;
-    }
+    void setWindows(std::uint64_t windows) { windows_ = windows; }
 
     /**
      * Record the process's peak RSS and minor-fault count so far
@@ -175,7 +168,6 @@ class Profiler
     double wall_ = 0.0;
     unsigned threads_ = 0;
     std::uint64_t windows_ = 0;
-    std::uint64_t widened_ = 0;
     double peakRssMb_ = 0.0;
     std::uint64_t minflt_ = 0;
 };

@@ -4,8 +4,9 @@
  *
  * The negative tests seed deliberate ownership violations — a
  * cross-partition stat write, a mid-exec mailbox bypass (direct
- * schedule onto a foreign queue), a wrong-lane mailbox push, a packet
- * pool op during a drain — and pin the owner/accessor/phase
+ * schedule onto a foreign queue), a wrong-lane mailbox push, a
+ * foreign reset of a sent-post minimum, a packet pool op during a
+ * drain — and pin the owner/accessor/phase
  * diagnostic. They run the kernel with threads = 1, where the worker
  * pool degenerates to a plain caller loop, so the panic-thrown
  * SimError (ScopedThrowOnError) propagates to the test without
@@ -100,11 +101,27 @@ TEST(OwnershipCheck, WrongLaneMailboxPushFatals)
     check::PhaseScope phase(1, check::Phase::Exec);
     ScopedThrowOnError guard;
     try {
-        nq.postInbox(0).push(PostMsg{50, PostFn([] {})}, 50);
+        nq.postInbox(0).push(PostMsg{50, PostFn([] {})});
         FAIL() << "expected the ownership checker to fire";
     } catch (const SimError& err) {
         expectDiagnostic(err.what(), "produced by partition 0",
                          "partition 1", "exec");
+    }
+}
+
+TEST(OwnershipCheck, ForeignSentMinResetFatals)
+{
+    // A partition's sent-post minimum may be reset only by its own
+    // drain task: partition 1 draining must not reset partition 0's.
+    NodeQueue nq(0, 2);
+    check::PhaseScope phase(1, check::Phase::Drain);
+    ScopedThrowOnError guard;
+    try {
+        nq.resetSentMin();
+        FAIL() << "expected the ownership checker to fire";
+    } catch (const SimError& err) {
+        expectDiagnostic(err.what(), "of partition 0", "partition 1",
+                         "drain");
     }
 }
 

@@ -448,11 +448,9 @@ TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
 }
 
 /**
- * Window ends follow the per-partition outgoing floors: a window
- * opened by media-only work extends one fabric lookahead past its
- * earliest pending event, exactly like node work — but a window
- * opened by work on a partition whose cheapest outgoing edge is the
- * broker's would extend a full service latency.
+ * Every window is one smallest edge wide, whichever partition anchors
+ * it: media-only work opens [7, 7 + 100), the fabric edge, even though
+ * the broker edge is ten times longer.
  */
 TEST(PerEdgeLookahead, WindowBoundsFollowTheMatrix)
 {
@@ -465,17 +463,15 @@ TEST(PerEdgeLookahead, WindowBoundsFollowTheMatrix)
     EXPECT_EQ(psim.queueOf(2).curTick(), 106u);
 }
 
-// --------------------------------------------------- adaptive windows
+// ------------------------------------------------ fixed-width windows
 
 /**
- * Adaptive widening: the window end is the earliest cross-partition
- * *commitment*, not start + base lookahead. Broker-partition work
- * (cheapest outgoing edge = 1000) spread over 5 base lookaheads plus
- * an idle-gapped node event all drain in a single window where the
- * fixed scheme would have paid a barrier per 100-tick step: the end
- * is min(10 + 1000, 900 + 100) = 1000.
+ * Windows never widen: broker-partition work spread over 5 lookaheads
+ * (cheapest outgoing edge 1000) takes one window per 100-tick step,
+ * and the idle gap before the node event at 900 is skipped in one hop
+ * — [10, 110) ... [510, 610), then [900, 1000): 7 windows.
  */
-TEST(AdaptiveWindow, IdleGapDrainsInOneEpoch)
+TEST(FixedWindow, IdleGapTakesOneWindowPerLookahead)
 {
     Simulation sim;
     ParallelSim psim(sim, famTopology(), 1);
@@ -491,13 +487,12 @@ TEST(AdaptiveWindow, IdleGapDrainsInOneEpoch)
     psim.run();
     EXPECT_EQ(broker_events, 6u);
     EXPECT_TRUE(node_ran);
-    EXPECT_EQ(psim.epoch(), 1u) << "idle gap must drain in one window";
-    EXPECT_EQ(psim.widenedEpochs(), 1u);
+    EXPECT_EQ(psim.epoch(), 7u);
 }
 
-/** The uniform (test) topology reproduces the fixed-width windows:
- *  same-tick spacing beyond the lookahead costs one epoch per hop. */
-TEST(AdaptiveWindow, UniformTopologyKeepsFixedWidth)
+/** The uniform (test) topology: spacing beyond the lookahead costs
+ *  one epoch per hop. */
+TEST(FixedWindow, UniformTopologyKeepsFixedWidth)
 {
     Simulation sim;
     ParallelSim psim(sim, /*partitions=*/2, /*lookahead=*/100, 1);
@@ -506,10 +501,31 @@ TEST(AdaptiveWindow, UniformTopologyKeepsFixedWidth)
         sim.events().schedule(250, [] {});
     });
     psim.run();
-    // [10, 110) then [250, 350): the gap is skipped, the width is not
-    // widened (a uniform peer could send at any executed tick + 100).
+    // [10, 110) then [250, 350): the gap is skipped.
     EXPECT_EQ(psim.epoch(), 2u);
-    EXPECT_EQ(psim.widenedEpochs(), 0u);
+}
+
+/**
+ * A post that is sent but not yet drained, with nothing else pending
+ * anywhere, anchors the next window at its delivery tick: the sender's
+ * cell carries it until the destination drains it.
+ */
+TEST(FixedWindow, UndrainedPostAnchorsTheNextWindow)
+{
+    Simulation sim;
+    ParallelSim psim(sim, /*partitions=*/2, /*lookahead=*/100, 1);
+    Tick delivered = 0;
+    psim.withPartition(0, [&] {
+        sim.events().schedule(10, [&] {
+            psim.post(1, 5000, [&] { delivered = sim.curTick(); });
+        });
+    });
+    psim.run();
+    // [10, 110) sends the post; its lane is the only pending work, so
+    // the next window is [5000, 5100).
+    EXPECT_EQ(delivered, 5000u);
+    EXPECT_EQ(psim.epoch(), 2u);
+    EXPECT_EQ(psim.queueOf(1).curTick(), 5099u);
 }
 
 // ------------------------------------------------------- sync window
@@ -537,15 +553,15 @@ TEST(SyncWindow, RejectsZeroLookaheadAndBackwardWindows)
     EXPECT_THROW((void)window.open(50), SimError);
 }
 
-TEST(SyncWindow, WidenedWindowsAreCounted)
+/** A pending global op's due caps the window below the full width. */
+TEST(SyncWindow, GlobalOpDueCapsTheWindow)
 {
     SyncWindow window(100);
-    auto bounds = window.open(10, 1000); // adaptive horizon
+    auto bounds = window.open(10, /*cap=*/50);
     EXPECT_EQ(bounds.start, 10u);
-    EXPECT_EQ(bounds.end, 1000u);
-    EXPECT_EQ(window.widened(), 1u);
-    bounds = window.open(2000, 2100); // exactly the base width
-    EXPECT_EQ(window.widened(), 1u);
+    EXPECT_EQ(bounds.end, 50u);
+    bounds = window.open(2000, /*cap=*/5000); // cap past the width
+    EXPECT_EQ(bounds.end, 2100u);
     EXPECT_EQ(window.epoch(), 2u);
 }
 
