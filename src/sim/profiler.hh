@@ -104,7 +104,6 @@ class Profiler
 
     void setWall(double seconds) { wall_ = seconds; }
     void setThreads(unsigned threads) { threads_ = threads; }
-
     void setWindows(std::uint64_t windows) { windows_ = windows; }
 
     /**

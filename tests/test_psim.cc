@@ -38,10 +38,6 @@
 #include "sim/logging.hh"
 #include "test_util.hh"
 
-#ifndef FAMSIM_GOLDEN_DIR
-#define FAMSIM_GOLDEN_DIR "tests/golden"
-#endif
-
 namespace famsim {
 namespace {
 
@@ -69,11 +65,11 @@ expectPinnedDigest(const std::string& name, const std::string& json)
 {
     const std::string path =
         std::string(FAMSIM_GOLDEN_DIR) + "/psim_t1/" + name + ".fnv";
-    const std::string digest = test::fnv1aHex(json) + "\n";
+    const std::string digest = test::fnv1aHex(json);
     if (test::goldenUpdateRequested()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write pin " << path;
-        out << digest;
+        out << digest << "\n";
         return;
     }
     std::ifstream in(path, std::ios::binary);
@@ -82,7 +78,7 @@ expectPinnedDigest(const std::string& name, const std::string& json)
     ASSERT_FALSE(pinned.empty())
         << "missing pin " << path
         << " (regenerate with FAMSIM_UPDATE_GOLDEN=1)";
-    EXPECT_EQ(pinned + "\n", digest)
+    EXPECT_EQ(pinned, digest)
         << "the threads=1 export of '" << name
         << "' diverged from its pin; if intentional, regenerate with "
            "FAMSIM_UPDATE_GOLDEN=1 and commit the diff";
@@ -466,10 +462,11 @@ TEST(PerEdgeLookahead, WindowBoundsFollowTheMatrix)
 // ------------------------------------------------ fixed-width windows
 
 /**
- * Windows never widen: broker-partition work spread over 5 lookaheads
- * (cheapest outgoing edge 1000) takes one window per 100-tick step,
- * and the idle gap before the node event at 900 is skipped in one hop
- * — [10, 110) ... [510, 610), then [900, 1000): 7 windows.
+ * Windows keep their width: broker-partition work spread over 5
+ * lookaheads (cheapest outgoing edge 1000) takes one window per
+ * 100-tick step, and the idle gap before the node event at 900 is
+ * skipped in one hop — [10, 110) ... [510, 610), then [900, 1000):
+ * 7 windows.
  */
 TEST(FixedWindow, IdleGapTakesOneWindowPerLookahead)
 {

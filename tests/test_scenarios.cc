@@ -26,10 +26,6 @@
 #include "sim/logging.hh"
 #include "test_util.hh"
 
-#ifndef FAMSIM_GOLDEN_DIR
-#define FAMSIM_GOLDEN_DIR "tests/golden"
-#endif
-
 namespace famsim {
 namespace {
 

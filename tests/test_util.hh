@@ -8,13 +8,18 @@
 #define FAMSIM_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "mem/mem_sink.hh"
 #include "sim/simulation.hh"
+
+/** Source-tree golden directory (tests/CMakeLists.txt sets it). */
+#ifndef FAMSIM_GOLDEN_DIR
+#define FAMSIM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace famsim::test {
 
