@@ -265,9 +265,9 @@ main(int argc, char** argv)
     add("fig16n16.serial", psim_serial_s, fig16_ops);
     Fig16Run psim_t[3];
     const unsigned kWorkerCounts[3] = {1, 2, 4};
-    // The t4 run carries the wall-clock profiler: its drain/exec/
-    // coordinator split (last rep's numbers) becomes the summary rows
-    // below. Host timings — reported, never gated.
+    // The t4 run carries the wall-clock profiler: its exec/coordinator
+    // split (last rep's numbers) becomes the summary rows below. Host
+    // timings — reported, never gated.
     Profiler prof16;
     for (int i = 0; i < 3; ++i) {
         psim_t[i] = timeFig16("fig16_num_nodes.n16", kWorkerCounts[i], 2,
@@ -306,8 +306,6 @@ main(int argc, char** argv)
                       prof16.wallSeconds());
     report.addSummary("profile_fig16n16_t4_exec_s",
                       prof16.execSeconds());
-    report.addSummary("profile_fig16n16_t4_drain_s",
-                      prof16.drainSeconds());
     report.addSummary("profile_fig16n16_t4_coordinator_s",
                       prof16.coordinatorSeconds());
     for (int p = 0; p < 2; ++p) {

@@ -445,7 +445,7 @@ System::runParallel(unsigned threads)
 
     unsigned total = config_.nodes * config_.coresPerNode;
     // Sharded partitioning: one partition per node, one per FAM media
-    // module (each with its own pooled queue and mailbox lanes), one
+    // module (each with its own pooled event queue), one
     // for the broker — the media/broker work that used to serialize on
     // a single fabric/FAM partition now scales with the module count.
     ParallelSim::Topology topo;
@@ -495,7 +495,7 @@ System::runParallel(unsigned threads)
         });
     }
 
-    psim.run(); // drains every queue, mailbox and barrier op
+    psim.run(); // drains every queue, arbitration lane and barrier op
     parallelWindows_ = psim.epoch();
 
     unsigned done = finished.load(std::memory_order_relaxed);

@@ -30,7 +30,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "psim/mailbox.hh" // leaf header: the ArbFn payload type only
+#include "psim/arb_fn.hh" // leaf header: the ArbFn payload type only
 #include "sim/simulation.hh"
 
 namespace famsim {
@@ -79,10 +79,10 @@ class FabricLink : public Component
         };
         // Request deliveries are small ([component, PktPtr] captures);
         // one heap allocation per fabric crossing would dominate the
-        // mailbox cost, so pin them to the inline payload budget.
-        static_assert(sizeof(arb) <= kMailboxInlineBytes,
+        // send cost, so pin them to the inline payload budget.
+        static_assert(sizeof(arb) <= kArbInlineBytes,
                       "fabric request continuation no longer fits the "
-                      "mailbox inline payload");
+                      "arbitrated-send inline payload");
         postRequestParallel(dst_module, ArbFn(std::move(arb)));
     }
 
@@ -150,7 +150,7 @@ class FabricLink : public Component
 
     // Out-of-line parallel-kernel plumbing (fabric_link.cc), so this
     // header — and every component TU including it — stays independent
-    // of the kernel proper (psim/mailbox.hh is a leaf payload-type
+    // of the kernel proper (psim/arb_fn.hh is a leaf payload-type
     // header): the kernel orchestrates the fabric, not the other way
     // around.
 

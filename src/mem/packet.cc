@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "sim/check.hh"
-
 namespace famsim {
 
 namespace {
@@ -47,9 +45,6 @@ namespace detail {
 void
 recyclePacket(Packet* pkt) noexcept
 {
-    // A recycle during the drain phase means a merged message payload
-    // was destroyed (or run) instead of moved — see check.hh.
-    FAMSIM_CHECK_PACKET_POOL();
     // Clearing onDone first releases captured PktPtrs; those releases
     // may recycle further packets (the pool tolerates reentrant
     // pushes). The remaining fields are reset in makePacket.
@@ -84,9 +79,6 @@ toString(PacketKind kind)
 PktPtr
 makePacket(NodeId node, CoreId core, MemOp op, PacketKind kind)
 {
-    // An allocation during the drain phase means a merged message
-    // payload executed simulation work — see check.hh.
-    FAMSIM_CHECK_PACKET_POOL();
     // Thread-local so parallel workers never contend; ids are used for
     // tracing and uniqueness checks only, never for simulated behavior,
     // so per-thread sequences (which may collide across threads) are

@@ -59,8 +59,13 @@ ParallelSim::init(std::uint32_t partitions)
     FAMSIM_ASSERT(!sim_.parallel(),
                   "a parallel kernel is already bound to this simulation");
     parts_.reserve(partitions);
-    for (std::uint32_t p = 0; p < partitions; ++p)
-        parts_.push_back(std::make_unique<NodeQueue>(p, partitions));
+    for (std::uint32_t p = 0; p < partitions; ++p) {
+        auto& queue = *parts_.emplace_back(std::make_unique<EventQueue>());
+        queue.setId(p);
+        // Ownership stamp for the FAMSIM_CHECK hooks (no-op when
+        // compiled out): the queue belongs to partition p.
+        queue.setCheckOwner(p);
+    }
     arbIn_.resize(partitions);
     globalIn_.resize(partitions + 1);
     globalSeq_.assign(partitions + 1, 0);
@@ -80,78 +85,50 @@ ParallelSim::sourceLane() const
 }
 
 void
-ParallelSim::post(std::uint32_t dst, Tick when, PostFn fn)
-{
-    std::uint32_t src = currentPartition();
-    FAMSIM_ASSERT(src != kNoPartition,
-                  "cross-partition post from outside a partition");
-    FAMSIM_ASSERT(dst < partitions(), "post to unknown partition ", dst);
-    Tick la = lookaheadBetween(src, dst);
-    FAMSIM_ASSERT(la != kNever, "post on the edgeless partition pair ",
-                  src, " -> ", dst);
-    FAMSIM_ASSERT(when >= SyncWindow::satAdd(parts_[src]->queue().curTick(),
-                                             la),
-                  "cross-partition post violates the edge lookahead");
-    parts_[src]->notePost(when);
-    parts_[dst]->postInbox(src).push(PostMsg{when, std::move(fn)});
-}
-
-void
 ParallelSim::postArbitrated(std::uint32_t dst, ArbFn fn)
 {
     std::uint32_t src = currentPartition();
     FAMSIM_ASSERT(src != kNoPartition,
                   "arbitrated post from outside a partition");
+    FAMSIM_ASSERT(!arbitrating_,
+                  "arbitrated send from inside an arbitration callback");
     FAMSIM_ASSERT(dst < partitions(), "post to unknown partition ", dst);
     Tick la = lookaheadBetween(src, dst);
     FAMSIM_ASSERT(la != kNever,
                   "arbitrated send on the edgeless partition pair ", src,
                   " -> ", dst);
-    Tick sent = parts_[src]->queue().curTick();
+    Tick sent = parts_[src]->curTick();
     arbIn_[src].sends.push_back(ArbSend{sent, dst, std::move(fn)});
 }
 
 void
 ParallelSim::drainArbitrated()
 {
-    // Rounds: a callback may itself post an arbitrated send (it runs
-    // with the destination as scheduling context), which lands in the
-    // lanes after the snapshot below — loop until the lanes stay
-    // empty, so nothing queued is ever dropped. drainArbitrated()
-    // always runs to empty lanes, which is what lets the window scan
-    // read real delivery ticks off the queues.
-    for (;;) {
-        arbScratch_.clear();
-        arbGathered_.assign(arbIn_.size(), 0);
-        for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
-            const auto& sends = arbIn_[src].sends;
-            arbGathered_[src] =
-                static_cast<std::uint32_t>(sends.size());
-            for (std::uint32_t i = 0; i < sends.size(); ++i)
-                arbScratch_.push_back({{sends[i].sent, src}, i});
-        }
-        if (arbScratch_.empty())
-            return;
-        // Merged (sent, srcPartition, seq) order across every source
-        // and destination: the shared channel state is then touched by
-        // exactly one thread (the coordinator), deterministically.
-        std::sort(arbScratch_.begin(), arbScratch_.end());
-        for (const auto& [key, idx] : arbScratch_) {
-            // Re-index on every access: a re-entrant post may have
-            // grown (reallocated) the lane vector.
-            ArbSend& send = arbIn_[key.second].sends[idx];
-            Scope scope(*this, send.dst, check::Phase::Barrier);
-            ArbFn fn = std::move(send.fn);
-            fn(send.sent);
-        }
-        // Erase exactly the executed (snapshot) prefix of each lane;
-        // re-entrant appends survive into the next round.
-        for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
-            auto& sends = arbIn_[src].sends;
-            sends.erase(sends.begin(),
-                        sends.begin() + arbGathered_[src]);
-        }
+    arbScratch_.clear();
+    for (std::uint32_t src = 0; src < arbIn_.size(); ++src) {
+        const auto& sends = arbIn_[src].sends;
+        for (std::uint32_t i = 0; i < sends.size(); ++i)
+            arbScratch_.push_back({{sends[i].sent, src}, i});
     }
+    if (arbScratch_.empty())
+        return;
+    // Merged (sent, srcPartition, seq) order across every source and
+    // destination: the shared channel state is then touched by exactly
+    // one thread (the coordinator), deterministically. Callbacks only
+    // schedule (a nested send panics), so one pass empties the lanes,
+    // which is what lets the window scan read real delivery ticks off
+    // the queues.
+    std::sort(arbScratch_.begin(), arbScratch_.end());
+    arbitrating_ = true;
+    for (const auto& [key, idx] : arbScratch_) {
+        ArbSend& send = arbIn_[key.second].sends[idx];
+        Scope scope(*this, send.dst, check::Phase::Barrier);
+        ArbFn fn = std::move(send.fn);
+        fn(send.sent);
+    }
+    arbitrating_ = false;
+    for (auto& lane : arbIn_)
+        lane.sends.clear();
 }
 
 void
@@ -159,7 +136,7 @@ ParallelSim::postGlobal(Tick due, std::function<void()> fn)
 {
     std::uint32_t lane = sourceLane();
     if (lane < partitions()) {
-        FAMSIM_ASSERT(due >= parts_[lane]->queue().curTick(),
+        FAMSIM_ASSERT(due >= parts_[lane]->curTick(),
                       "global op due in the past");
     }
     globalIn_[lane].push_back(
@@ -218,12 +195,11 @@ Tick
 ParallelSim::nextPending() const
 {
     // The arbitration lanes are always empty here (drainArbitrated()
-    // runs to empty right before), and each partition's minimum
-    // already covers the undrained posts it sent, so one O(1) read per
-    // partition sees every pending tick.
+    // runs to empty right before), so the queue heads plus the global
+    // ops are every pending tick: one O(1) read per partition.
     Tick next = EventQueue::kForever;
     for (const auto& part : parts_)
-        next = std::min(next, part->minPendingTick());
+        next = std::min(next, part->nextTick());
     // pendingGlobal_ is sorted by (due, src, seq), so its minimum is
     // the first element.
     if (!pendingGlobal_.empty())
@@ -294,44 +270,21 @@ ParallelSim::run()
             trace->span(TraceSink::kPsim, brokerPartition(),
                         "psim.window", start, end);
         }
-        // Two phases per window, each a full barrier. Drains must not
-        // overlap execution: a partition already running the new
-        // window would otherwise append to the very lanes another
-        // partition is still merging. With the drain fenced off, every
-        // producer is quiescent while its messages are consumed — the
-        // property that lets the mailboxes stay lock-free.
-        pool_.runEpoch(parts_.size(), [&](std::size_t p) {
-            const auto part = static_cast<std::uint32_t>(p);
-            Scope scope(*this, part, check::Phase::Drain);
-            // Every lane, this partition's outbound posts included,
-            // drains in this epoch.
-            parts_[p]->resetSentMin();
-            std::uint64_t drained;
-            if (prof) {
-                Profiler::Timer t;
-                drained = parts_[p]->drainInboxes();
-                prof->addDrain(part, t.seconds());
-            } else {
-                drained = parts_[p]->drainInboxes();
-            }
-            // Partition-exclusive lane: only this worker, this epoch.
-            if (trace && drained > 0) {
-                trace->counter(TraceSink::kPsim, part, "psim.drained",
-                               start, drained);
-            }
-        });
+        // One epoch per window: every cross-partition delivery is
+        // already on its destination queue, so the workers only
+        // execute.
         pool_.runEpoch(parts_.size(), [&](std::size_t p) {
             const auto part = static_cast<std::uint32_t>(p);
             Scope scope(*this, part, check::Phase::Exec);
             if (prof) {
                 Profiler::Timer t;
-                parts_[p]->queue().run(end - 1);
+                parts_[p]->run(end - 1);
                 prof->addExec(part, t.seconds());
             } else {
-                parts_[p]->queue().run(end - 1);
+                parts_[p]->run(end - 1);
             }
             if (trace) {
-                const std::uint64_t total = parts_[p]->queue().executed();
+                const std::uint64_t total = parts_[p]->executed();
                 if (total > executedSeen[p]) {
                     trace->counter(TraceSink::kPsim, part,
                                    "psim.executed", end - 1, total);
@@ -342,7 +295,7 @@ ParallelSim::run()
     }
     std::uint64_t executed = 0;
     for (const auto& part : parts_)
-        executed += part->queue().executed();
+        executed += part->executed();
     return executed;
 }
 

@@ -7,33 +7,33 @@
  * and STU), one per FAM media module (the module's banked NVM plus the
  * AT/ACM traffic it serves), and one for the MemoryBroker (the
  * scheduling context for system-level bookkeeping). Each partition
- * owns a NodeQueue; a fixed WorkerPool executes all partitions' events
- * for one SyncWindow at a time, entirely without locks, because every
- * cross-partition interaction has a floor latency given by the
+ * owns an EventQueue; a fixed WorkerPool executes all partitions'
+ * events for one SyncWindow at a time, entirely without locks, because
+ * every cross-partition interaction has a floor latency given by the
  * per-edge lookahead matrix:
  *
  *  - node <-> media: the fabric's one-way latency (request sends from
  *    the STU/E-FAM path, response sends from the media);
  *  - anything <-> broker: the broker's fault service latency.
  *
- * Direct cross-partition posts travel through single-producer Mailbox
- * lanes drained at the window barriers in (tick, srcPartition, seq)
- * order. Fabric sends are *arbitrated*: the shared channel's
- * serialization state (channelFree) is one resource spanning every
- * media partition, so all sends from all sources are merged in
- * (sendTick, srcPartition, seq) order and arbitrated single-threaded
- * by the coordinator at the barrier, each callback then scheduling its
- * delivery on the destination partition's queue. The merged schedule —
- * and therefore every statistic — is byte-identical for any worker
- * count.
+ * No event ever crosses partitions mid-window. Fabric sends are
+ * *arbitrated*: the shared channel's serialization state (channelFree)
+ * is one resource spanning every media partition, so all sends from
+ * all sources are merged in (sendTick, srcPartition, seq) order and
+ * arbitrated single-threaded by the coordinator at the barrier, each
+ * callback then scheduling its delivery on the destination partition's
+ * queue. Everything else that crosses partitions is a global barrier
+ * op (below). The merged schedule — and therefore every statistic — is
+ * byte-identical for any worker count.
  *
  * Windows have a fixed width, the smallest edge lookahead: the
  * coordinator opens each window at the global minimum pending tick
  * and ends it one lookahead later, or at the first pending global-op
- * due after the start, whichever comes first. Each source partition
- * keeps the earliest delivery tick of its undrained posts, so finding
- * that minimum costs O(1) per partition. See DESIGN.md "Parallel
- * kernel" for the safety argument.
+ * due after the start, whichever comes first. Arbitration runs to
+ * empty lanes before that scan, so the minimum is just the queue heads
+ * plus the pending global ops: O(P) per window, and each window is one
+ * worker-pool epoch. See DESIGN.md "Parallel kernel" for the safety
+ * argument.
  *
  * Operations that must mutate state read concurrently by several
  * partitions (broker fault resolution: the FAM pool allocator, the
@@ -65,7 +65,7 @@
 #include <utility>
 #include <vector>
 
-#include "psim/node_queue.hh"
+#include "psim/arb_fn.hh"
 #include "psim/sync_window.hh"
 #include "psim/worker_pool.hh"
 #include "sim/check.hh"
@@ -180,7 +180,7 @@ class ParallelSim
 
     [[nodiscard]] EventQueue& queueOf(std::uint32_t partition)
     {
-        return parts_[partition]->queue();
+        return *parts_[partition];
     }
 
     /**
@@ -211,19 +211,14 @@ class ParallelSim
     }
 
     /**
-     * Cross-partition post: run @p fn on @p dst at absolute tick
-     * @p when, which must respect the (src, dst) edge lookahead
-     * relative to the sender's current tick.
-     */
-    void post(std::uint32_t dst, Tick when, PostFn fn);
-
-    /**
      * Arbitrated cross-partition send: at the next barrier, @p fn
      * (sendTick) runs on @p dst — single-threaded, merged across all
      * sources and destinations in (sendTick, srcPartition, seq) order
      * — and must itself schedule the delivery at or after sendTick +
      * the edge lookahead. Used for the shared fabric's channel
-     * serialization, whose state spans every media partition.
+     * serialization, whose state spans every media partition. The
+     * callback must not post another arbitrated send: arbitration is
+     * one merge pass, and a nested send panics.
      */
     void postArbitrated(std::uint32_t dst, ArbFn fn);
 
@@ -244,8 +239,9 @@ class ParallelSim
     void postGlobal(Tick due, std::function<void()> fn);
 
     /**
-     * Drive windows until every queue, mailbox and barrier op has
-     * drained. @return total events executed across all partitions.
+     * Drive windows until every queue, arbitration lane and barrier
+     * op has drained. @return total events executed across all
+     * partitions.
      */
     std::uint64_t run();
 
@@ -253,9 +249,9 @@ class ParallelSim
     struct GlobalOp {
         Tick due;
         std::uint32_t src;
-        /** Per-source monotonic stamp (never reset, unlike mailbox
-         *  indices) so ops surviving across barriers keep a total
-         *  deterministic order. */
+        /** Per-source monotonic stamp (never reset, unlike
+         *  arbitration-lane indices) so ops surviving across barriers
+         *  keep a total deterministic order. */
         std::uint64_t seq;
         std::function<void()> fn;
     };
@@ -279,7 +275,7 @@ class ParallelSim
      * throws (FAMSIM_ASSERT under ScopedThrowOnError, in tests) — a
      * stale slot would dangle into later runs on the same thread.
      * Also publishes the (partition, phase) context the FAMSIM_CHECK
-     * ownership hooks read: Drain/Exec enforce partition exclusivity,
+     * ownership hooks read: Exec enforces partition exclusivity,
      * Barrier marks the coordinator's legal cross-partition sections,
      * None (withPartition wiring) enforces nothing.
      */
@@ -292,7 +288,7 @@ class ParallelSim
         {
             FAMSIM_ASSERT(!detail::tlsQueueSlot(),
                           "nested partition context");
-            detail::tlsQueueSlot() = &psim.parts_[partition]->queue();
+            detail::tlsQueueSlot() = psim.parts_[partition].get();
         }
         ~Scope() { detail::tlsQueueSlot() = nullptr; }
         Scope(const Scope&) = delete;
@@ -308,17 +304,16 @@ class ParallelSim
      *  from the virtual lane `partitions()`). */
     [[nodiscard]] std::uint32_t sourceLane() const;
 
-    /** Global minimum pending tick across queues, undrained posts and
-     *  global ops (kForever once everything has drained). O(P). */
+    /** Global minimum pending tick across queue heads and global ops
+     *  (kForever once everything has drained). O(P). */
     [[nodiscard]] Tick nextPending() const;
 
     /** First pending global-op due after @p start, kTickMax if none:
      *  the cap on the window opened at @p start. */
     [[nodiscard]] Tick firstDueAfter(Tick start) const;
 
-    /** Merge + run all queued arbitrated sends, to empty lanes,
-     *  looping over rounds if a callback posts more (coordinator
-     *  only). */
+    /** Merge + run all queued arbitrated sends in one pass, then
+     *  clear the lanes (coordinator only). */
     void drainArbitrated();
 
     void collectGlobalOps();
@@ -334,15 +329,18 @@ class ParallelSim
     /** Per-edge lookahead floors, indexed by (src Kind, dst Kind). */
     std::array<std::array<Tick, 3>, 3> edge_{};
 
-    std::vector<std::unique_ptr<NodeQueue>> parts_;
+    /** One event queue per partition, stamped with its id and check
+     *  owner. */
+    std::vector<std::unique_ptr<EventQueue>> parts_;
 
     /** Central arbitration lanes, one per source partition. */
     std::vector<ArbLane> arbIn_;
     /** Arbitration merge scratch: (sent, src, idx), reused. */
     std::vector<std::pair<std::pair<Tick, std::uint32_t>, std::uint32_t>>
         arbScratch_;
-    /** Per-lane snapshot sizes of the current arbitration round. */
-    std::vector<std::uint32_t> arbGathered_;
+    /** True while drainArbitrated() runs callbacks (nested sends
+     *  panic). */
+    bool arbitrating_ = false;
 
     /** Barrier-op lanes, one per source partition plus the main
      *  thread; single-producer, merged at barriers. */

@@ -10,8 +10,9 @@
  * events in [start, start + lookahead) can only generate
  * cross-partition work at or after start + lookahead, i.e. in a later
  * window — so all partitions can execute one window concurrently with
- * no locks, and mailboxes only need draining at the window barriers
- * (the classic null-message-free windowed conservative PDES scheme).
+ * no locks, and cross-partition sends only need arbitrating at the
+ * window barriers (the classic null-message-free windowed conservative
+ * PDES scheme).
  *
  * Windows are anchored at the global minimum pending tick, so idle
  * stretches of simulated time are skipped in one hop. A pending global

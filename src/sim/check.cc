@@ -11,7 +11,6 @@ toString(Phase phase)
     switch (phase) {
       case Phase::None: return "none";
       case Phase::Barrier: return "barrier";
-      case Phase::Drain: return "drain";
       case Phase::Exec: return "exec";
     }
     return "?";
@@ -41,8 +40,8 @@ failAccess(const Tag& tag, const char* what)
                  "' owned by ", partitionName(tag.owner), ", touched by ",
                  partitionName(c.partition), " during the ",
                  toString(c.phase),
-                 " phase; route it through a mailbox post or a barrier "
-                 "op, or use a SharedCounter/JobStatTable");
+                 " phase; route it through an arbitrated send or a "
+                 "barrier op, or use a SharedCounter/JobStatTable");
 }
 
 void
@@ -53,38 +52,8 @@ failQueue(std::uint32_t owner)
                  partitionName(owner), ", scheduled on by ",
                  partitionName(c.partition), " during the ",
                  toString(c.phase),
-                 " phase; route it through a mailbox post or a barrier "
-                 "op");
-}
-
-void
-failMailbox(std::uint32_t producer)
-{
-    const Context& c = ctx();
-    FAMSIM_PANIC("cross-partition mailbox push: lane produced by ",
-                 partitionName(producer), ", pushed by ",
-                 partitionName(c.partition), " during the ",
-                 toString(c.phase),
-                 " phase; post from the owning source partition");
-}
-
-void
-failPacketPool()
-{
-    const Context& c = ctx();
-    FAMSIM_PANIC("packet pool operation on ", partitionName(c.partition),
-                 " during the drain phase; drains may move message "
-                 "payloads but must never run or destroy them");
-}
-
-void
-failSentMinReset(std::uint32_t owner)
-{
-    const Context& c = ctx();
-    FAMSIM_PANIC("sent-post minimum of ", partitionName(owner),
-                 " reset by ", partitionName(c.partition), " during the ",
-                 toString(c.phase),
-                 " phase; only the owner's own drain task may reset it");
+                 " phase; route it through an arbitrated send or a "
+                 "barrier op");
 }
 
 #endif // FAMSIM_CHECK

@@ -3,10 +3,10 @@
  * Partition-ownership checker (the FAMSIM_CHECK build option).
  *
  * The parallel kernel's correctness rests on an ownership discipline:
- * a partition's event queue, its plain (non-atomic) statistics and its
- * inbound mailbox lanes are written only by the worker currently
- * executing that partition, and every cross-partition interaction goes
- * through a mailbox post, an arbitrated send or a barrier op. TSan can
+ * a partition's event queue and its plain (non-atomic) statistics are
+ * written only by the worker currently executing that partition, and
+ * every cross-partition interaction goes through an arbitrated send or
+ * a barrier op. TSan can
  * catch a violation only when the scheduler happens to overlap the two
  * touches; this checker tags each guarded object with its owning
  * partition at wiring time, tracks the calling thread's (partition,
@@ -20,10 +20,8 @@
  *    workers are quiescent and the coordinator runs single-threaded in
  *    a deterministic merge order, so cross-partition touches are legal
  *    by design.
- *  - Drain / Exec (the two fenced window phases): a thread may only
- *    touch state owned by the partition it is executing. During Drain,
- *    message payloads may be moved but never run or destroyed, so
- *    packet-pool traffic is additionally banned.
+ *  - Exec (the window epoch): a thread may only touch state owned by
+ *    the partition it is executing.
  *
  * SharedCounter and JobStatTable are deliberately untagged: their
  * relaxed-atomic adds are order-independent sums, safe and
@@ -51,8 +49,7 @@ inline constexpr std::uint32_t kUnowned = ~std::uint32_t{0};
 enum class Phase : std::uint8_t {
     None = 0,    //!< serial mode, wiring, coordinator serial sections
     Barrier = 1, //!< arb callbacks / global ops: workers quiescent
-    Drain = 2,   //!< mailbox merge epoch (fenced from execution)
-    Exec = 3,    //!< window execution epoch
+    Exec = 2,    //!< window execution epoch
 };
 
 [[nodiscard]] const char* toString(Phase phase);
@@ -134,15 +131,12 @@ struct Tag {
 
 [[noreturn]] void failAccess(const Tag& tag, const char* what);
 [[noreturn]] void failQueue(std::uint32_t owner);
-[[noreturn]] void failMailbox(std::uint32_t producer);
-[[noreturn]] void failPacketPool();
-[[noreturn]] void failSentMinReset(std::uint32_t owner);
 
 /** True when the current phase enforces partition exclusivity. */
 [[nodiscard]] inline bool
 enforced(Phase phase)
 {
-    return phase == Phase::Drain || phase == Phase::Exec;
+    return phase == Phase::Exec;
 }
 
 /** Hook: mutation of a tagged statistic. */
@@ -165,45 +159,6 @@ queueSchedule(std::uint32_t owner)
     const Context& c = ctx();
     if (enforced(c.phase) && c.partition != owner)
         failQueue(owner);
-}
-
-/** Hook: Mailbox::push into the lane produced by @p producer. */
-inline void
-mailboxPush(std::uint32_t producer)
-{
-    if (producer == kUnowned)
-        return;
-    const Context& c = ctx();
-    if (enforced(c.phase) && c.partition != producer)
-        failMailbox(producer);
-}
-
-/**
- * Hook: reset of the NodeQueue sent-post minimum owned by @p owner
- * (lowering it follows the mailbox rule). Legal only in the owner's
- * own Drain phase, when every lane drains: anywhere else it would drop
- * undrained posts from the next window's anchor.
- */
-inline void
-sentMinReset(std::uint32_t owner)
-{
-    const Context& c = ctx();
-    if (c.phase != Phase::None &&
-        (c.phase != Phase::Drain || c.partition != owner))
-        failSentMinReset(owner);
-}
-
-/**
- * Hook: packet pool alloc/recycle. Pools are thread-local (no race is
- * possible), but pool traffic during the Drain phase means a message
- * payload was run or destroyed while being merged — a violation of the
- * fenced-drain discipline that keeps the mailboxes lock-free.
- */
-inline void
-packetPoolOp()
-{
-    if (ctx().phase == Phase::Drain)
-        failPacketPool();
 }
 
 #else // !FAMSIM_CHECK
@@ -234,17 +189,9 @@ class WiringScope
 #if FAMSIM_CHECK
 #define FAMSIM_CHECK_STAT(tag, what) ::famsim::check::access(tag, what)
 #define FAMSIM_CHECK_QUEUE(owner) ::famsim::check::queueSchedule(owner)
-#define FAMSIM_CHECK_MAILBOX(producer) \
-    ::famsim::check::mailboxPush(producer)
-#define FAMSIM_CHECK_PACKET_POOL() ::famsim::check::packetPoolOp()
-#define FAMSIM_CHECK_SENT_MIN_RESET(owner) \
-    ::famsim::check::sentMinReset(owner)
 #else
 #define FAMSIM_CHECK_STAT(tag, what) ((void)0)
 #define FAMSIM_CHECK_QUEUE(owner) ((void)0)
-#define FAMSIM_CHECK_MAILBOX(producer) ((void)0)
-#define FAMSIM_CHECK_PACKET_POOL() ((void)0)
-#define FAMSIM_CHECK_SENT_MIN_RESET(owner) ((void)0)
 #endif
 
 #endif // FAMSIM_SIM_CHECK_HH

@@ -145,8 +145,8 @@ class EventQueue
     }
 
     /**
-     * Partition handle (src/psim/): stamped by the owning NodeQueue
-     * with its partition index, and how ParallelSim::currentPartition
+     * Partition handle (src/psim/): stamped by ParallelSim with the
+     * queue's partition index, and how ParallelSim::currentPartition
      * resolves the executing partition from the thread-local queue
      * slot. 0 (the default) on the serial/global queue, which is
      * never published in that slot.
@@ -156,7 +156,7 @@ class EventQueue
 
     /**
      * Stamp the queue's owning partition for the FAMSIM_CHECK
-     * ownership hooks (NodeQueue, at wiring). Unstamped queues (the
+     * ownership hooks (ParallelSim, at wiring). Unstamped queues (the
      * serial/global queue) are never checked. No-op when the checker
      * is compiled out.
      */

@@ -45,23 +45,19 @@ Profiler::writeJson(std::ostream& os, int indent) const
     json::writeNumber(os, peakRssMb_);
     os << ",\n" << inner << "\"minflt\": " << minflt_;
     os << ",\n" << inner << "\"partitions\": [";
-    for (std::size_t p = 0; p < parts_.size(); ++p) {
-        const PartTimes& t = parts_[p];
+    for (std::size_t p = 0; p < exec_.size(); ++p) {
         // A partition is "idle" whenever the run is in flight but the
-        // partition is neither draining nor executing: waiting at the
-        // epoch barriers or for the coordinator. Derived, approximate.
-        const double idle =
-            std::max(0.0, wall_ - t.drain - t.exec);
+        // partition is not executing: waiting at the epoch barrier or
+        // for the coordinator. Derived, approximate.
+        const double idle = std::max(0.0, wall_ - exec_[p]);
         os << (p ? "," : "") << "\n" << item << "{\"lane\": " << p
-           << ", \"drain_s\": ";
-        json::writeNumber(os, t.drain);
-        os << ", \"exec_s\": ";
-        json::writeNumber(os, t.exec);
+           << ", \"exec_s\": ";
+        json::writeNumber(os, exec_[p]);
         os << ", \"idle_s\": ";
         json::writeNumber(os, idle);
         os << "}";
     }
-    if (!parts_.empty())
+    if (!exec_.empty())
         os << "\n" << inner;
     os << "]\n" << outer << "}";
 }

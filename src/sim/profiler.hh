@@ -4,7 +4,7 @@
  *
  * The sim-time trace (trace_sink.hh) answers "what did the simulated
  * system do"; the profiler answers "what did the *host* spend its time
- * on": per-partition drain/exec seconds per window epoch, the
+ * on": per-partition exec seconds per window epoch, the
  * coordinator's serial sections (arbitration merge, window bounds,
  * global ops), the whole run's wall clock, and the process footprint
  * (peak RSS, minor faults) when the run ends. Everything here is
@@ -14,7 +14,7 @@
  *
  * Writer discipline mirrors the kernel's: each partition's accumulator
  * is written only by the worker that owns the partition during an
- * epoch (the epoch barriers publish the writes), the coordinator
+ * epoch (the epoch barrier publishes the writes), the coordinator
  * fields only between epochs, the wall clock only by the caller of
  * System::run.
  */
@@ -74,19 +74,13 @@ class Profiler
     void
     setPartitions(std::uint32_t partitions)
     {
-        parts_.assign(partitions, PartTimes{});
-    }
-
-    void
-    addDrain(std::uint32_t partition, double seconds)
-    {
-        parts_[partition].drain += seconds;
+        exec_.assign(partitions, 0.0);
     }
 
     void
     addExec(std::uint32_t partition, double seconds)
     {
-        parts_[partition].exec += seconds;
+        exec_[partition] += seconds;
     }
 
     /** The coordinator's serial sections between epochs. */
@@ -129,23 +123,20 @@ class Profiler
         return coordinator_[0] + coordinator_[1] + coordinator_[2];
     }
 
-    /** Sum of all partitions' drain-epoch seconds. */
-    [[nodiscard]] double
-    drainSeconds() const
-    {
-        double total = 0.0;
-        for (const PartTimes& t : parts_)
-            total += t.drain;
-        return total;
-    }
+    /**
+     * Always 0: windows have no drain epoch any more. Kept only
+     * because perfbench reads it; drop it with its probe at the next
+     * benchmark change.
+     */
+    [[nodiscard]] double drainSeconds() const { return 0.0; }
 
     /** Sum of all partitions' exec-epoch seconds. */
     [[nodiscard]] double
     execSeconds() const
     {
         double total = 0.0;
-        for (const PartTimes& t : parts_)
-            total += t.exec;
+        for (const double t : exec_)
+            total += t;
         return total;
     }
 
@@ -156,12 +147,8 @@ class Profiler
     void writeJson(std::ostream& os, int indent = 0) const;
 
   private:
-    struct PartTimes {
-        double drain = 0.0; //!< inbox merge + schedule (drain epochs)
-        double exec = 0.0;  //!< event execution (exec epochs)
-    };
-
-    std::vector<PartTimes> parts_;
+    /** Per-partition event-execution seconds (exec epochs). */
+    std::vector<double> exec_;
     /** Seconds per Section. */
     std::array<double, 3> coordinator_{};
     double wall_ = 0.0;

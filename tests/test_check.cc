@@ -3,11 +3,8 @@
  * Partition-ownership checker (FAMSIM_CHECK, src/sim/check.hh).
  *
  * The negative tests seed deliberate ownership violations — a
- * cross-partition stat write, a mid-exec mailbox bypass (direct
- * schedule onto a foreign queue), a wrong-lane mailbox push, a
- * foreign reset of a sent-post minimum, a packet pool op during a
- * drain — and pin the owner/accessor/phase
- * diagnostic. They run the kernel with threads = 1, where the worker
+ * cross-partition stat write and a mid-exec schedule straight onto a
+ * foreign queue — and pin the owner/accessor/phase diagnostic. They run the kernel with threads = 1, where the worker
  * pool degenerates to a plain caller loop, so the panic-thrown
  * SimError (ScopedThrowOnError) propagates to the test without
  * forking; the checker itself is thread-count-independent, firing at
@@ -21,8 +18,6 @@
 
 #include <string>
 
-#include "mem/packet.hh"
-#include "psim/node_queue.hh"
 #include "psim/parallel_sim.hh"
 #include "sim/check.hh"
 #include "sim/logging.hh"
@@ -55,7 +50,7 @@ TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
         victim = &sim.stats().counter("check.victim", "owned by 1");
     }
     // Seed the violation: an event on partition 0 bumps partition 1's
-    // counter directly instead of routing through a mailbox post.
+    // counter directly instead of routing through an arbitrated send.
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] { ++*victim; });
     });
@@ -71,12 +66,12 @@ TEST(OwnershipCheck, CrossPartitionStatWriteFatals)
     }
 }
 
-TEST(OwnershipCheck, MidExecMailboxBypassFatals)
+TEST(OwnershipCheck, MidExecForeignScheduleFatals)
 {
     Simulation sim;
     ParallelSim psim(sim, 2, 10, 1);
     // Seed the bypass: mid-exec, partition 0 schedules straight onto
-    // partition 1's queue, skipping ParallelSim::post entirely.
+    // partition 1's queue instead of posting an arbitrated send.
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] {
             psim.queueOf(1).schedule(100, [] {});
@@ -89,54 +84,6 @@ TEST(OwnershipCheck, MidExecMailboxBypassFatals)
     } catch (const SimError& err) {
         expectDiagnostic(err.what(), "owned by partition 1",
                          "partition 0", "exec");
-    }
-}
-
-TEST(OwnershipCheck, WrongLaneMailboxPushFatals)
-{
-    // Unit-level: lane src of a NodeQueue may only be appended to by
-    // partition src. Fake an exec context for partition 1 and push
-    // into partition 0's lane.
-    NodeQueue nq(1, 2);
-    check::PhaseScope phase(1, check::Phase::Exec);
-    ScopedThrowOnError guard;
-    try {
-        nq.postInbox(0).push(PostMsg{50, PostFn([] {})});
-        FAIL() << "expected the ownership checker to fire";
-    } catch (const SimError& err) {
-        expectDiagnostic(err.what(), "produced by partition 0",
-                         "partition 1", "exec");
-    }
-}
-
-TEST(OwnershipCheck, ForeignSentMinResetFatals)
-{
-    // A partition's sent-post minimum may be reset only by its own
-    // drain task: partition 1 draining must not reset partition 0's.
-    NodeQueue nq(0, 2);
-    check::PhaseScope phase(1, check::Phase::Drain);
-    ScopedThrowOnError guard;
-    try {
-        nq.resetSentMin();
-        FAIL() << "expected the ownership checker to fire";
-    } catch (const SimError& err) {
-        expectDiagnostic(err.what(), "of partition 0", "partition 1",
-                         "drain");
-    }
-}
-
-TEST(OwnershipCheck, PacketPoolOpDuringDrainFatals)
-{
-    check::PhaseScope phase(0, check::Phase::Drain);
-    ScopedThrowOnError guard;
-    try {
-        (void)makePacket(0, 0, MemOp::Read, PacketKind::Data);
-        FAIL() << "expected the ownership checker to fire";
-    } catch (const SimError& err) {
-        const std::string msg = err.what();
-        EXPECT_NE(msg.find("packet pool operation"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("drain phase"), std::string::npos) << msg;
     }
 }
 
@@ -173,7 +120,8 @@ TEST(OwnershipCheck, FiresIdenticallyOnEveryRun)
 
 TEST(OwnershipCheck, LegalTrafficIsNotFlagged)
 {
-    // The positive contract: partition-local bumps, mailbox posts and
+    // The positive contract: partition-local bumps, arbitrated sends
+    // (the callback schedules onto the destination at the barrier) and
     // the delivered continuation's writes on the owning partition all
     // pass, and the run completes with the expected counts.
     Simulation sim;
@@ -191,8 +139,9 @@ TEST(OwnershipCheck, LegalTrafficIsNotFlagged)
     psim.withPartition(0, [&] {
         sim.events().schedule(5, [&] {
             ++*local;
-            psim.post(1, sim.curTick() + 10,
-                      PostFn([&] { ++*remote; }));
+            psim.postArbitrated(1, [&](Tick sent) {
+                sim.events().schedule(sent + 10, [&] { ++*remote; });
+            });
         });
     });
     psim.run();

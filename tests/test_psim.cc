@@ -7,7 +7,7 @@
  * byte-identical stats JSON for one worker thread and for many — the
  * schedule is deterministic by construction, so thread count must be
  * unobservable. The unit tests pin the mechanisms that property rests
- * on: mailbox merge order at window barriers, worker-pool epoch
+ * on: arbitration merge order at window barriers, worker-pool epoch
  * semantics, sync-window bounds and the queue-id handle.
  *
  * FAMSIM_THREADS (when set and >= 2) selects the "many threads" side
@@ -231,64 +231,11 @@ TEST(ParallelDeterminismExtra, TraceReplayIsThreadCountInvariant)
     std::filesystem::remove_all(dir, ec);
 }
 
-// ------------------------------------------------ mailbox merge order
-
-/**
- * Cross-partition posts colliding on one destination must execute in
- * (tick, srcPartition, seq) order, independent of worker count.
- */
-std::vector<std::tuple<Tick, unsigned, int>>
-runMergeProbe(unsigned threads)
-{
-    Simulation sim;
-    constexpr Tick kLookahead = 100;
-    ParallelSim psim(sim, /*partitions=*/3, kLookahead, threads);
-
-    std::vector<std::tuple<Tick, unsigned, int>> order;
-    auto record = [&](unsigned src, int seq) {
-        return [&order, &sim, src, seq] {
-            order.emplace_back(sim.curTick(), src, seq);
-        };
-    };
-
-    // Partitions 1 and 2 each send two messages at tick 5, all
-    // delivered at tick 105 on partition 0; partition 2 additionally
-    // sends an earlier-tick message that must run first despite being
-    // posted from the highest source id.
-    psim.withPartition(1, [&] {
-        sim.events().schedule(5, [&psim, record] {
-            psim.post(0, 105, record(1, 0));
-            psim.post(0, 105, record(1, 1));
-        });
-    });
-    psim.withPartition(2, [&] {
-        sim.events().schedule(5, [&psim, record] {
-            psim.post(0, 105, record(2, 0));
-            psim.post(0, 105, record(2, 1));
-        });
-        sim.events().schedule(4, [&psim, record] {
-            psim.post(0, 104, record(2, -1));
-        });
-    });
-    psim.run();
-    return order;
-}
-
-TEST(Mailbox, BarrierDrainMergesInTickSourceSeqOrder)
-{
-    using Entry = std::tuple<Tick, unsigned, int>;
-    std::vector<Entry> expected{
-        Entry{104, 2, -1}, Entry{105, 1, 0}, Entry{105, 1, 1},
-        Entry{105, 2, 0}, Entry{105, 2, 1},
-    };
-    EXPECT_EQ(runMergeProbe(1), expected);
-    EXPECT_EQ(runMergeProbe(3), expected) << "merge order must not "
-                                             "depend on worker count";
-}
+// ------------------------------------------------------- arbitration
 
 /** Arbitrated sends drain in (sendTick, src, seq) order and receive
  *  the sender's tick, not the drain-time tick. */
-TEST(Mailbox, ArbitratedDrainUsesSenderTickOrder)
+TEST(Arbitration, ArbitratedDrainUsesSenderTickOrder)
 {
     Simulation sim;
     ParallelSim psim(sim, /*partitions=*/3, /*lookahead=*/50, 2);
@@ -315,18 +262,30 @@ TEST(Mailbox, ArbitratedDrainUsesSenderTickOrder)
     EXPECT_EQ(order, expected);
 }
 
-/** Lookahead violations are simulator bugs and must be caught. */
-TEST(Mailbox, PostBelowLookaheadPanics)
+/**
+ * Arbitration is one merge pass: a callback that posts another
+ * arbitrated send is a modeling bug (FabricLink's callbacks only
+ * schedule), so the nested send panics instead of queueing a second
+ * round.
+ */
+TEST(Arbitration, NestedSendFromACallbackPanics)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
-    ParallelSim psim(sim, 2, /*lookahead=*/100, 1);
+    ParallelSim psim(sim, /*partitions=*/2, /*lookahead=*/50, 1);
+    bool arbitrated = false;
     psim.withPartition(0, [&] {
-        sim.events().schedule(10, [&] {
-            EXPECT_THROW(psim.post(1, 50, [] {}), SimError);
+        sim.events().schedule(5, [&] {
+            psim.postArbitrated(1, [&](Tick sent) {
+                arbitrated = true;
+                EXPECT_THROW(psim.postArbitrated(0, [](Tick) {}),
+                             SimError);
+                sim.events().schedule(sent + 50, [] {});
+            });
         });
     });
     psim.run();
+    EXPECT_TRUE(arbitrated);
 }
 
 // ---------------------------------------------------- global barrier ops
@@ -421,26 +380,39 @@ TEST(PerEdgeLookahead, TopologyLaysOutNodesMediaBroker)
     psim.run();
 }
 
-/** post() enforces the (src, dst) edge floor, not a single global
- *  lookahead — and panics outright on edgeless pairs. */
+/** Arbitrated sends ride the (src, dst) edge floor, not a single
+ *  global lookahead — and panic outright on edgeless pairs. */
 TEST(PerEdgeLookahead, PostsEnforceTheEdgeFloors)
 {
     ScopedThrowOnError throw_on_error;
     Simulation sim;
     ParallelSim psim(sim, famTopology(), 1);
+    std::vector<std::pair<std::uint32_t, Tick>> delivered;
+    // Deliver at the sender's tick plus the edge floor, as FabricLink
+    // does for the fabric edge.
+    auto atFloor = [&](std::uint32_t dst) {
+        return [&, dst](Tick sent) {
+            sim.events().schedule(sent + psim.lookaheadBetween(0, dst),
+                                  [&, dst] {
+                                      delivered.emplace_back(
+                                          dst, sim.curTick());
+                                  });
+        };
+    };
     psim.withPartition(0, [&] {
         sim.events().schedule(10, [&] {
             // node -> media rides the fabric edge (100)...
-            EXPECT_THROW(psim.post(2, 109, [] {}), SimError);
-            psim.post(2, 110, [] {});
+            psim.postArbitrated(2, atFloor(2));
             // ...node -> broker the service edge (1000)...
-            EXPECT_THROW(psim.post(4, 110, [] {}), SimError);
-            psim.post(4, 1010, [] {});
+            psim.postArbitrated(4, atFloor(4));
             // ...and node -> node has no edge at all.
-            EXPECT_THROW(psim.post(1, 100000, [] {}), SimError);
+            EXPECT_THROW(psim.postArbitrated(1, [](Tick) {}), SimError);
         });
     });
     psim.run();
+    std::vector<std::pair<std::uint32_t, Tick>> expected{{2, 110},
+                                                         {4, 1010}};
+    EXPECT_EQ(delivered, expected);
 }
 
 /**
@@ -503,9 +475,11 @@ TEST(FixedWindow, UniformTopologyKeepsFixedWidth)
 }
 
 /**
- * A post that is sent but not yet drained, with nothing else pending
- * anywhere, anchors the next window at its delivery tick: the sender's
- * cell carries it until the destination drains it.
+ * An arbitrated send still in its lane at the barrier, with nothing
+ * else pending anywhere, anchors the next window at its delivery tick:
+ * arbitration runs before the window scan, so the scan reads the
+ * delivery off the destination queue. Scanning first would see no
+ * pending work and end the run with the delivery undelivered.
  */
 TEST(FixedWindow, UndrainedPostAnchorsTheNextWindow)
 {
@@ -514,12 +488,16 @@ TEST(FixedWindow, UndrainedPostAnchorsTheNextWindow)
     Tick delivered = 0;
     psim.withPartition(0, [&] {
         sim.events().schedule(10, [&] {
-            psim.post(1, 5000, [&] { delivered = sim.curTick(); });
+            psim.postArbitrated(1, [&](Tick sent) {
+                sim.events().schedule(sent + 4990, [&] {
+                    delivered = sim.curTick();
+                });
+            });
         });
     });
     psim.run();
-    // [10, 110) sends the post; its lane is the only pending work, so
-    // the next window is [5000, 5100).
+    // [10, 110) sends; the delivery is the only pending work, so the
+    // next window is [5000, 5100).
     EXPECT_EQ(delivered, 5000u);
     EXPECT_EQ(psim.epoch(), 2u);
     EXPECT_EQ(psim.queueOf(1).curTick(), 5099u);
